@@ -1,14 +1,15 @@
 """Extremal envelopes of the entropy-gap pieces over a condition-number class.
 
 All bounds range over correlation-like spectra: eigenvalue profiles with a
-fixed extreme-eigenvalue ratio R = lambda_1 / lambda_n and trace n.  Over
-that class the extrema of sum(1/lambda_i), sum(log lambda_i) and the joint
-divergence objective are attained by two-level profiles with at most one
-eigenvalue strictly between the edges (or, for the minimizers, with all
-interior eigenvalues equal), so each bound reduces to enumerating the
-split index k and evaluating a one-dimensional convex objective at the
-endpoints of its feasible interval.  Infeasible candidates, such as
-profiles whose extreme ratio degenerates below R, are skipped.
+fixed extreme-eigenvalue ratio R = lambda_1 / lambda_n and trace n.  That
+class is a polytope whose vertices are the n-1 two-level spectra: j
+eigenvalues at the top edge R lambda_n and n-j at the bottom edge lambda_n,
+with lambda_n = n / (jR + n - j).  The maximizers of the convex objectives,
+sum(1/lambda_i) and the joint divergence, are found by evaluating them in
+closed form at every vertex at once; only the winning vertex is built as
+a profile.  The maximizer of sum(log lambda_i) and the minimizer of
+sum(1/lambda_i) pin one eigenvalue at each edge and hold the interior ones
+equal, leaving a one-dimensional problem in lambda_n.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 _PROFILE_RTOL = 1e-10
-_EDGE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,54 +83,46 @@ def _check_n_ratio(n: int, condition_ratio: float, min_n: int) -> None:
         raise ValueError(f"condition ratio must be >= 1, got {condition_ratio!r}")
 
 
-def _split_values(n: int, ratio: float, k: int, lam_n: float) -> np.ndarray | None:
-    """Profile with k-1 eigenvalues at ratio*lam_n, one free eigenvalue
-    fixed by the trace, and n-k at lam_n; None when it leaves the class."""
-    lam_1 = ratio * lam_n
-    lam_k = n - ((k - 1) * ratio + (n - k)) * lam_n
-    # At interval endpoints lam_k reproduces an edge value through a second
-    # float path whose rounding, divided by a tiny lam_n, can drift the
-    # extreme ratio at large R; snap exactly onto the matching edge.
-    if abs(lam_k - lam_1) <= _EDGE_RTOL * lam_1:
-        lam_k = lam_1
-    elif abs(lam_k - lam_n) <= _EDGE_RTOL * lam_1:
-        lam_k = lam_n
-    values = np.empty(n)
-    values[: k - 1] = lam_1
-    values[k - 1] = lam_k
-    values[k:] = lam_n
+def _two_level_vertices(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices of the class, j = 1..n-1: j eigenvalues at the top edge
+    ratio*lam_n and n-j at the bottom edge lam_n = n / (j ratio + n - j).
+
+    Returns arrays over j of lam_n, sum(1/lambda) and sum(log lambda).
+    sum(1/lambda) = (j/ratio + n - j) / lam_n is evaluated in the expanded
+    form n + (ratio-1)^2/ratio * j(n-j)/n, which is exactly symmetric under
+    j -> n-j, so mirror vertices tie exactly, and keeps its small excess
+    over n accurate at ratios near 1.
+    """
+    j = np.arange(1, n)
+    bottom = n / (j * ratio + (n - j))
+    inverse_sum = n + (ratio - 1.0) * ((ratio - 1.0) / ratio) * (j * (n - j) / n)
+    log_sum = j * math.log(ratio) + n * np.log(bottom)
+    return bottom, inverse_sum, log_sum
+
+
+def _vertex_profile(n: int, ratio: float, bottom: np.ndarray, index: int) -> EigenProfile:
+    """Profile of the vertex at position ``index`` of _two_level_vertices."""
+    lam_n = float(bottom[index])
+    values = np.full(n, lam_n)
+    values[: index + 1] = ratio * lam_n
+    return EigenProfile(values=values, condition_ratio=ratio)
+
+
+def _edge_pinned_values(n: int, ratio: float, lam_n: float) -> np.ndarray:
+    """Spectrum with lam_n and ratio*lam_n at the edges and the n-2 interior
+    eigenvalues equal, fixed by the trace (no interior when n == 2)."""
+    lam_mid = (n - (1.0 + ratio) * lam_n) / max(n - 2, 1)
+    values = np.concatenate([[ratio * lam_n], np.full(n - 2, lam_mid), [lam_n]])
     values[::-1].sort()
-    if values[-1] <= 0.0:
-        return None
-    if abs(values[0] - ratio * values[-1]) > _EDGE_RTOL * values[0]:
-        return None
     return values
 
 
 def _max_inverse_sum(n: int, ratio: float) -> tuple[float, EigenProfile]:
-    """Maximum of sum(1/lambda_i) over the class.
-
-    For each split k the objective is convex in lam_n on its feasible
-    interval, so only the interval endpoints can attain the maximum.
-    """
-    best_value = -math.inf
-    best_values = None
-    for k in range(1, n + 1):
-        lo = n / (ratio * k + n - k)
-        hi = n / (ratio * (k - 1) + n - k + 1)
-        if lo > hi:
-            continue
-        for lam_n in (lo, hi) if hi > lo else (lo,):
-            values = _split_values(n, ratio, k, lam_n)
-            if values is None:
-                continue
-            value = float(np.sum(1.0 / values))
-            if value > best_value:
-                best_value = value
-                best_values = values
-    if best_values is None:
-        raise ValueError(f"no feasible profile for n={n}, condition ratio {ratio!r}")
-    return best_value, EigenProfile(values=best_values, condition_ratio=ratio)
+    """Maximum of sum(1/lambda_i) over the class; the objective is convex,
+    so a vertex attains it."""
+    bottom, inverse_sum, _ = _two_level_vertices(n, ratio)
+    best = int(np.argmax(inverse_sum))
+    return float(inverse_sum[best]), _vertex_profile(n, ratio, bottom, best)
 
 
 def bound_log_det_S(n: int, condition_ratio: float) -> tuple[float, EigenProfile]:
@@ -150,7 +142,7 @@ def bound_log_det_C(n: int, condition_ratio: float) -> tuple[float, EigenProfile
 
     The maximizer pins one eigenvalue at each edge, 2/(1+R) and 2R/(1+R),
     and holds every interior eigenvalue at 1; the stationary point always
-    lies inside its feasible interval for n >= 3.  The bound is never
+    lies inside its feasible interval for n >= 2.  The bound is never
     positive and is exactly zero at R = 1.
     """
     _check_n_ratio(n, condition_ratio, min_n=1)
@@ -158,16 +150,10 @@ def bound_log_det_C(n: int, condition_ratio: float) -> tuple[float, EigenProfile
     if n == 1:
         return 0.0, EigenProfile(values=np.ones(1), condition_ratio=1.0)
     lam_n = 2.0 / (1.0 + ratio)
-    lam_1 = ratio * lam_n
-    if n == 2:
-        values = np.array([lam_1, lam_n])
-    else:
-        lo = n / (1.0 + ratio * (n - 1))
-        hi = n / (n - 1.0 + ratio)
-        assert lo - 1e-12 <= lam_n <= hi + 1e-12, "stationary point left its interval"
-        lam_mid = (n - (1.0 + ratio) * lam_n) / (n - 2)
-        values = np.concatenate([[lam_1], np.full(n - 2, lam_mid), [lam_n]])
-    values[::-1].sort()
+    lo = n / (1.0 + ratio * (n - 1))
+    hi = n / (n - 1.0 + ratio)
+    assert lo - 1e-12 <= lam_n <= hi + 1e-12, "stationary point left its interval"
+    values = _edge_pinned_values(n, ratio, lam_n)
     value = float(np.sum(np.log(values)))
     return value, EigenProfile(values=values, condition_ratio=ratio)
 
@@ -206,10 +192,7 @@ def bound_trace_S(n: int, condition_ratio: float) -> TraceShrinkageBounds:
     for lam_n in candidates:
         if not lo - 1e-12 <= lam_n <= hi + 1e-12:
             continue
-        lam_n = min(max(lam_n, lo), hi)
-        lam_mid = (n - (1.0 + ratio) * lam_n) / (n - 2)
-        values = np.concatenate([[ratio * lam_n], np.full(n - 2, lam_mid), [lam_n]])
-        values[::-1].sort()
+        values = _edge_pinned_values(n, ratio, min(max(lam_n, lo), hi))
         value = float(np.sum(1.0 / values))
         if value < best_value:
             best_value = value
@@ -222,53 +205,17 @@ def bound_kl_joint(n: int, condition_ratio: float) -> tuple[float, EigenProfile]
     """Upper bound on the whole entropy gap (equivalently KL(q || p)) over
     the class, tighter than summing the two separate bounds.
 
-    Works in the reciprocal weights omega_i = (1/lambda_i) / sum(1/lambda_j),
-    which form the same kind of ratio-R class with unit sum; each split k
-    leaves a convex one-dimensional objective whose maximum sits at an
-    endpoint.  The maximizing weights are mapped back to an eigenvalue
-    profile with trace n.
+    The gap is (n log(F/n) + sum(log lambda_i)) / 2 with F = sum(1/lambda_i).
+    In the reciprocal weights omega_i = (1/lambda_i) / F, which form the same
+    kind of ratio-R class with unit sum, it is convex, so it peaks at a
+    weight vertex; those are the eigenvalue vertices with top and bottom
+    swapped.  Returns the bound and its maximizing eigenvalue profile.
     """
     _check_n_ratio(n, condition_ratio, min_n=2)
-    ratio = condition_ratio
-    if ratio == 1.0:
-        # Unit ratio pins every eigenvalue at 1; skip the float arithmetic
-        # so the bound is exactly zero.
-        return 0.0, EigenProfile(values=np.ones(n), condition_ratio=1.0)
-    best_value = -math.inf
-    best_omegas = None
-    for k in range(1, n + 1):
-        lo = 1.0 / (k - 1 + ratio * (n - k + 1))
-        hi = 1.0 / (k + ratio * (n - k))
-        if lo > hi:
-            continue
-        for w_1 in (lo, hi) if hi > lo else (lo,):
-            w_k = 1.0 - (k - 1 + ratio * (n - k)) * w_1
-            # Same endpoint degeneracy as _split_values: snap w_k onto the
-            # edge it reproduces so the ratio check stays exact at large R.
-            w_top = ratio * w_1
-            if abs(w_k - w_1) <= _EDGE_RTOL * w_top:
-                w_k = w_1
-            elif abs(w_k - w_top) <= _EDGE_RTOL * w_top:
-                w_k = w_top
-            omegas = np.empty(n)
-            omegas[: k - 1] = w_1
-            omegas[k - 1] = w_k
-            omegas[k:] = ratio * w_1
-            omegas.sort()
-            if omegas[0] <= 0.0:
-                continue
-            if abs(omegas[-1] - ratio * omegas[0]) > _EDGE_RTOL * omegas[-1]:
-                continue
-            value = -float(np.sum(np.log(omegas)))
-            if value > best_value:
-                best_value = value
-                best_omegas = omegas
-    if best_omegas is None:
-        raise ValueError(f"no feasible profile for n={n}, condition ratio {ratio!r}")
-    bound = 0.5 * (best_value - n * math.log(n))
-    scale = float(np.sum(1.0 / best_omegas)) / n
-    values = np.sort(1.0 / (best_omegas * scale))[::-1]
-    return bound, EigenProfile(values=values, condition_ratio=ratio)
+    bottom, inverse_sum, log_sum = _two_level_vertices(n, condition_ratio)
+    gaps = 0.5 * (n * np.log(inverse_sum / n) + log_sum)
+    best = int(np.argmax(gaps))
+    return float(gaps[best]), _vertex_profile(n, condition_ratio, bottom, best)
 
 
 @dataclass(frozen=True)

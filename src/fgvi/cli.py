@@ -11,7 +11,7 @@ significant digits, so identical configs produce byte-identical output and
 every value round-trips through text exactly.
 
 Exit codes: 0 success, 1 a validity flag failed, 2 invalid input,
-3 numerical failure, 4 optimizer divergence.
+3 numerical failure (singular input or overflow), 4 optimizer divergence.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import csv
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .generators import (
     constant_offdiag_target,
     squared_exponential_target,
 )
-from .linalg import ConditioningError
 
 EXIT_OK = 0
 EXIT_INVALID_FLAG = 1
@@ -54,6 +52,11 @@ EXIT_NUMERICAL = 3
 EXIT_DIVERGED = 4
 
 _MEASURE_SLACK = 1e-6
+
+
+def _slack(bound: float) -> float:
+    """Validity slack around a bound: relative to it, absolute below magnitude 1."""
+    return _MEASURE_SLACK * max(1.0, abs(bound))
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -377,14 +380,6 @@ def _sweep_target(effective: dict, axis: str, value: float) -> GaussianTarget:
     )
 
 
-def _map_ordered(fn, items):
-    """Evaluate fn over items concurrently, preserving order."""
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_sweep(effective: dict) -> tuple[list[str], list[dict], int]:
     axis, grid = _sweep_axis(effective)
 
@@ -400,7 +395,7 @@ def run_sweep(effective: dict) -> tuple[list[str], list[dict], int]:
             "condition_number": report.condition_number,
         }
 
-    rows = _map_ordered(one_point, grid)
+    rows = [one_point(value) for value in grid]
     columns = [
         "axis",
         "value",
@@ -467,12 +462,12 @@ def run_bounds(effective: dict) -> tuple[list[str], list[dict], int]:
             trace_s = shrinkage_matrix(target, fgvi_solve(target)).trace
             at_ratio = bounds_report(n, measured.condition_number)
             valid = (
-                measured.log_det_S <= at_ratio.upper_log_det_S + _MEASURE_SLACK
-                and measured.log_det_C <= at_ratio.upper_log_det_C + _MEASURE_SLACK
-                and at_ratio.lower_trace_S - _MEASURE_SLACK
+                measured.log_det_S <= at_ratio.upper_log_det_S + _slack(at_ratio.upper_log_det_S)
+                and measured.log_det_C <= at_ratio.upper_log_det_C + _slack(at_ratio.upper_log_det_C)
+                and at_ratio.lower_trace_S - _slack(at_ratio.lower_trace_S)
                 <= trace_s
-                <= at_ratio.upper_trace_S + _MEASURE_SLACK
-                and measured.kl_q_p <= at_ratio.joint_kl_upper + _MEASURE_SLACK
+                <= at_ratio.upper_trace_S + _slack(at_ratio.upper_trace_S)
+                and measured.kl_q_p <= at_ratio.joint_kl_upper + _slack(at_ratio.joint_kl_upper)
             )
             return {
                 "row_type": "measured",
@@ -492,7 +487,7 @@ def run_bounds(effective: dict) -> tuple[list[str], list[dict], int]:
                 "valid": valid,
             }
 
-        measured_rows = _map_ordered(one_point, grid)
+        measured_rows = [one_point(value) for value in grid]
         rows.extend(measured_rows)
         if not all(row["valid"] for row in measured_rows):
             code = EXIT_INVALID_FLAG
@@ -634,7 +629,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ConditioningError, GenerationError) as exc:
+    except (ArithmeticError, GenerationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DivergenceError as exc:

@@ -53,8 +53,9 @@ __all__ = [
 
 LOG_TWO_PI_E = math.log(2.0 * math.pi) + 1.0
 
-# Below this, exp(log_det) is a hard underflow and entropies stop being
-# meaningful floating-point quantities.
+# Floor on log|Sigma| / n: below it the geometric-mean variance exp(log|Sigma|/n)
+# is a hard underflow and entropies stop being meaningful floating-point
+# quantities.  The total log|Sigma| is never exponentiated, so it may be lower.
 MIN_LOG_DET = -700.0
 
 SYMMETRY_RTOL = 1e-12
@@ -310,10 +311,10 @@ def gaussian_entropy(covariance_log_det: float, n: int) -> float:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not math.isfinite(covariance_log_det):
         raise ValueError(f"log-determinant must be finite, got {covariance_log_det!r}")
-    if covariance_log_det < MIN_LOG_DET:
+    if covariance_log_det / n < MIN_LOG_DET:
         raise ValueError(
-            f"log-determinant {covariance_log_det!r} is below {MIN_LOG_DET}; "
-            "the determinant underflows double precision"
+            f"log-determinant per coordinate {covariance_log_det / n!r} is below "
+            f"{MIN_LOG_DET}; the geometric-mean variance underflows double precision"
         )
     return 0.5 * (covariance_log_det + n * LOG_TWO_PI_E)
 

@@ -23,9 +23,10 @@ class ConditioningError(ArithmeticError):
 def spd_cholesky(matrix: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    A pivot at or below ``pivot_rtol * max(diag)`` aborts with
-    :class:`ConditioningError` naming the offending column, which separates
-    "numerically singular" from merely ill-conditioned input.
+    A pivot at or below ``pivot_rtol`` times its own diagonal entry
+    ``a[j, j]`` aborts with :class:`ConditioningError` naming the offending
+    column, which separates "numerically singular" from merely
+    ill-conditioned input independently of how each coordinate is scaled.
 
     Args:
         matrix: symmetric positive-definite array, shape (n, n).  Only the
@@ -37,9 +38,9 @@ def spd_cholesky(matrix: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarr
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
-    threshold = pivot_rtol * float(np.max(np.diag(a)))
     lower = np.zeros_like(a)
     for j in range(n):
+        threshold = pivot_rtol * float(a[j, j])
         pivot = float(a[j, j] - lower[j, :j] @ lower[j, :j])
         if pivot <= threshold:
             raise ConditioningError(

@@ -167,6 +167,17 @@ def test_bounds_envelope_and_measured_valid(capsys):
     # eps = 0.5 at n = 10 has condition ratio 11
     assert float(measured[1]["R"]) == pytest.approx(11.0, rel=1e-9)
 
+    for args in (
+        # kernel targets whose total log|Sigma| is below -700
+        ("--n", "64", "--R-grid", "1,3,100,1e4", "--rho-grid", "5,20"),
+        # trace(S) ~ 5e5 exceeds its bound by rounding alone
+        ("--n", "2", "--R-grid", "1", "--eps-grid", "0.999998"),
+    ):
+        code, out = run_cli("bounds", *args, capsys=capsys)
+        assert code == 0
+        _, records = parse_csv(out)
+        assert all(r["valid"] == "true" for r in records if r["row_type"] == "measured")
+
 
 def test_bounds_unit_ratio_row_is_zero(capsys):
     code, out = run_cli("bounds", "--n", "5", "--R-grid", "1", capsys=capsys)
@@ -337,6 +348,8 @@ def test_numerical_failure_exit_code(tmp_path):
     path = tmp_path / "indefinite.txt"
     path.write_text("2\n1 2\n2 1\n")
     assert main(["analyze", "--matrix-file", str(path)]) == 3
+    # (1 + R)^2 overflows in the trace bound
+    assert main(["bounds", "--n", "5", "--R-grid", "1e160"]) == 3
 
 
 def test_console_script_help():

@@ -230,13 +230,15 @@ def test_entropy_guard_on_collapsed_determinant():
 
 
 def test_diagonal_decomposition_is_all_zero():
-    target = GaussianTarget(mean=np.zeros(3), covariance=np.diag([1.0, 2.0, 3.0]))
-    report = decompose(target)
-    assert report.log_det_S == pytest.approx(0.0, abs=1e-12)
-    assert report.log_det_C == pytest.approx(0.0, abs=1e-12)
-    assert report.entropy_gap == pytest.approx(0.0, abs=1e-12)
-    assert report.kl_q_p == pytest.approx(0.0, abs=1e-12)
-    assert report.condition_number == pytest.approx(1.0, rel=1e-12)
+    # 0.01 I at n = 200: log|Sigma| = -921 in total, -4.6 per coordinate.
+    for covariance in (np.diag([1.0, 2.0, 3.0]), 0.01 * np.eye(200)):
+        n = covariance.shape[0]
+        report = decompose(GaussianTarget(mean=np.zeros(n), covariance=covariance))
+        assert report.log_det_S == pytest.approx(0.0, abs=1e-12)
+        assert report.log_det_C == pytest.approx(0.0, abs=1e-12)
+        assert report.entropy_gap == pytest.approx(0.0, abs=1e-12)
+        assert report.kl_q_p == pytest.approx(0.0, abs=1e-12)
+        assert report.condition_number == pytest.approx(1.0, rel=1e-12)
 
 
 def test_single_coordinate_target_has_zero_gap():

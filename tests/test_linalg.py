@@ -46,10 +46,11 @@ def test_singular_matrix_rejected():
 
 
 def test_pivot_threshold_is_relative():
-    # Uniform scaling must not change what counts as singular.
-    matrix = 1e-30 * np.eye(3)
-    lower = spd_cholesky(matrix)
-    assert np.allclose(lower @ lower.T, matrix)
+    # Scaling, uniform or per coordinate, must not change what counts as
+    # singular.
+    for matrix in (1e-30 * np.eye(3), np.diag([1e10, 1e-3])):
+        lower = spd_cholesky(matrix)
+        assert np.allclose(lower @ lower.T, matrix)
 
 
 def test_log_det_matches_slogdet():
