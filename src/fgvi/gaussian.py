@@ -76,13 +76,24 @@ def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _correlation_entries(cov: np.ndarray) -> np.ndarray:
+    """C_ij = Sigma_ij / sqrt(Sigma_ii Sigma_jj), unit diagonal; symmetric when Sigma is."""
+    scale = np.sqrt(np.diag(cov))
+    c = cov / np.outer(scale, scale)
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
 @dataclass(frozen=True)
 class GaussianTarget:
     """A multivariate Gaussian N(mean, covariance).
 
     The covariance is validated symmetric (relative tolerance 1e-12) and
-    positive definite at construction; the Cholesky factor computed for the
-    check is cached and reused by every downstream operation.
+    positive definite at construction.  Only its correlation matrix
+    C = D^-1/2 Sigma D^-1/2 is factored, once; the target keeps that factor
+    L_C and S_ii = (C^-1)_ii, and everything downstream derives from them
+    without factoring again.  The pivot test on C is therefore blind to how
+    each coordinate is scaled.
     """
 
     mean: np.ndarray
@@ -101,9 +112,15 @@ class GaussianTarget:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("mean and covariance must be finite")
+        diag = np.diag(cov)
+        if np.any(diag <= 0.0):
+            j = int(np.argmax(diag <= 0.0))
+            raise ConditioningError(j, float(diag[j]), 0.0)
+        chol_c = spd_cholesky(_correlation_entries(cov))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_chol", spd_cholesky(cov))
+        object.__setattr__(self, "_chol_c", chol_c)
+        object.__setattr__(self, "_shrinkage", inverse_diagonal(chol_c))
 
     @property
     def n(self) -> int:
@@ -111,8 +128,8 @@ class GaussianTarget:
 
     @property
     def cholesky_lower(self) -> np.ndarray:
-        """Cached lower Cholesky factor of the covariance."""
-        return self._chol
+        """Lower Cholesky factor of the covariance, D^1/2 L_C, formed on demand."""
+        return np.sqrt(np.diag(self.covariance))[:, None] * self._chol_c
 
 
 @dataclass(frozen=True)
@@ -250,34 +267,28 @@ class DecompositionReport:
 def correlation_from_covariance(target: GaussianTarget) -> CorrelationMatrix:
     """Correlation matrix C_ij = Sigma_ij / sqrt(Sigma_ii Sigma_jj).
 
-    The diagonal is set to exactly 1 rather than recomputed.
+    The diagonal is set to exactly 1 rather than recomputed, and the
+    result carries the factor the target already holds.
     """
-    cov = target.covariance
-    diag = np.diag(cov)
-    bad = np.flatnonzero(diag <= 0.0)
-    if bad.size:
-        raise ValueError(
-            f"covariance diagonal entry {bad[0]} is not positive: {diag[bad[0]]!r}"
-        )
-    scale = np.sqrt(diag)
-    c = cov / np.outer(scale, scale)
-    c = 0.5 * (c + c.T)
-    np.fill_diagonal(c, 1.0)
-    return CorrelationMatrix(entries=c)
+    # C was validated and factored when the target was built.
+    corr = object.__new__(CorrelationMatrix)
+    object.__setattr__(corr, "entries", _correlation_entries(target.covariance))
+    object.__setattr__(corr, "_chol", target._chol_c)
+    return corr
 
 
 def fgvi_solve(target: GaussianTarget) -> FactorizedGaussian:
     """Best factorized Gaussian under KL(q || p).
 
     The mean is copied from the target; variance i equals
-    ``1 / (Sigma^-1)_ii``, obtained by per-coordinate solves against the
-    target's shared Cholesky factor (the inverse is never materialized).
+    ``1 / (Sigma^-1)_ii = Sigma_ii / (C^-1)_ii``, read from the target's
+    cached inverse-correlation diagonal (no inverse is ever materialized).
     Each variance is no larger than the matching marginal variance
     Sigma_ii, strictly smaller as soon as coordinate i carries any
     correlation.
     """
-    inv_diag = inverse_diagonal(target.cholesky_lower)
-    return FactorizedGaussian(mean=target.mean.copy(), variances=1.0 / inv_diag)
+    variances = np.diag(target.covariance) / target._shrinkage
+    return FactorizedGaussian(mean=target.mean.copy(), variances=variances)
 
 
 def reverse_kl_solve(target: GaussianTarget) -> FactorizedGaussian:
@@ -334,31 +345,16 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     the correlation matrix.
     """
     n = target.n
-    chol = target.cholesky_lower
-    log_det_sigma = log_det_from_cholesky(chol)
-    if n == 1:
-        # Degenerate single coordinate: q equals p, every gap is exactly 0.
-        entropy = gaussian_entropy(log_det_sigma, 1)
-        return DecompositionReport(
-            log_det_S=0.0,
-            log_det_C=0.0,
-            entropy_p=entropy,
-            entropy_q=entropy,
-            entropy_gap=0.0,
-            kl_q_p=0.0,
-            condition_number=1.0,
-        )
-    inv_diag = inverse_diagonal(chol)
-    variances = 1.0 / inv_diag
-
     sigma_diag = np.diag(target.covariance)
-    shrink = sigma_diag * inv_diag
+    shrink = target._shrinkage
     log_det_s = float(np.sum(np.log(shrink)))
-    # |C| = |Sigma| / prod(Sigma_ii) exactly; computing it through the
-    # identity keeps the decomposition consistent at extreme conditioning,
-    # where a second independent factorization would drift.
-    log_det_c = log_det_sigma - float(np.sum(np.log(sigma_diag)))
+    # log|C| is read off the one factor of C, so like log|S| it is blind to
+    # how each coordinate is scaled; log|Sigma| = log|C| + sum(log Sigma_ii).
+    log_det_c = log_det_from_cholesky(target._chol_c)
+    log_det_sigma = log_det_c + float(np.sum(np.log(sigma_diag)))
 
+    variances = sigma_diag / shrink
+    inv_diag = shrink / sigma_diag
     log_det_psi = float(np.sum(np.log(variances)))
     entropy_p = gaussian_entropy(log_det_sigma, n)
     entropy_q = gaussian_entropy(log_det_psi, n)
@@ -367,8 +363,7 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     trace_term = float(variances @ inv_diag)
     kl = 0.5 * (trace_term - (log_det_psi - log_det_sigma) - n)
 
-    corr = correlation_from_covariance(target)
-    eigvals = np.linalg.eigvalsh(corr.entries)
+    eigvals = np.linalg.eigvalsh(correlation_from_covariance(target).entries)
     condition = float(eigvals[-1] / eigvals[0])
 
     return DecompositionReport(

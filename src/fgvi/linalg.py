@@ -1,23 +1,30 @@
 """Dense SPD linear algebra with explicit conditioning control.
 
-Everything covariance-shaped in this package funnels through a single
-Cholesky factorization per matrix.  Log-determinants are accumulated from
-the factor diagonal, so they stay finite even when the determinant itself
-would under- or overflow, and diagonals of inverses are recovered by
-per-coordinate triangular solves against the shared factor rather than by
-forming the inverse.
+A matrix is factored once, by LAPACK ``potrf``, and everything derived
+from it reads that one factor.  Log-determinants are accumulated from the
+factor diagonal, so they stay finite even when the determinant itself
+would under- or overflow, and diagonals of inverses come from the
+triangular inverse of the factor (``trtri``), never from the full inverse.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 PIVOT_RTOL = 1e-12
 
 
 class ConditioningError(ArithmeticError):
-    """A factorization pivot fell below the relative threshold."""
+    """A factorization pivot fell below its threshold at the given column."""
+
+    def __init__(self, column: int, pivot: float, threshold: float):
+        super().__init__(
+            f"pivot {pivot:.6e} at column {column} is below threshold "
+            f"{threshold:.6e}; matrix is numerically singular or not "
+            "positive definite"
+        )
+        self.column, self.pivot, self.threshold = column, pivot, threshold
 
 
 def spd_cholesky(matrix: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
@@ -27,6 +34,8 @@ def spd_cholesky(matrix: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarr
     ``a[j, j]`` aborts with :class:`ConditioningError` naming the offending
     column, which separates "numerically singular" from merely
     ill-conditioned input independently of how each coordinate is scaled.
+    LAPACK stops at the first pivot that is not positive and leaves it on
+    the diagonal, so the first failing column is never past that one.
 
     Args:
         matrix: symmetric positive-definite array, shape (n, n).  Only the
@@ -36,21 +45,15 @@ def spd_cholesky(matrix: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarr
     Returns:
         Lower-triangular factor ``L`` with ``L @ L.T == matrix``.
     """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(n):
-        threshold = pivot_rtol * float(a[j, j])
-        pivot = float(a[j, j] - lower[j, :j] @ lower[j, :j])
-        if pivot <= threshold:
-            raise ConditioningError(
-                f"pivot {pivot:.6e} at column {j} is below threshold "
-                f"{threshold:.6e}; matrix is numerically singular or not "
-                "positive definite"
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    thresholds = pivot_rtol * np.diag(matrix)
+    lower, info = lapack.dpotrf(matrix, lower=1, clean=1)
+    pivots = np.diag(lower) ** 2
+    if info:
+        pivots[info - 1] = lower[info - 1, info - 1]
+    bad = np.flatnonzero(~(pivots > thresholds))
+    if bad.size:
+        j = int(bad[0])
+        raise ConditioningError(j, float(pivots[j]), float(thresholds[j]))
     return lower
 
 
@@ -60,11 +63,12 @@ def log_det_from_cholesky(lower: np.ndarray) -> float:
 
 
 def inverse_diagonal(lower: np.ndarray) -> np.ndarray:
-    """Diagonal of A⁻¹ from the Cholesky factor of A.
+    """Diagonal of A⁻¹ from the lower Cholesky factor of A.
 
-    Solves L y = e_i for every coordinate against the one shared factor;
-    (A⁻¹)_ii = ‖L⁻¹ e_i‖².  The full inverse is never formed.
+    (A⁻¹)_ii = ‖L⁻¹ e_i‖², the column sums of squares of the triangular
+    inverse of the factor.
     """
-    n = lower.shape[0]
-    cols = solve_triangular(lower, np.eye(n), lower=True, check_finite=False)
-    return np.sum(cols * cols, axis=0)
+    inverse, info = lapack.dtrtri(lower, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"factor is singular: zero pivot at column {info - 1}")
+    return np.einsum("ij,ij->j", inverse, inverse)

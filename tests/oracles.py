@@ -29,8 +29,13 @@ def _two_level_profiles(n: int, ratio: float) -> list[np.ndarray]:
 
 def _equal_interior(n: int, ratio: float, step: float):
     """Grids (lam_n, shared interior value) for spectra with all n - 2
-    interior entries equal; empty when nothing is feasible."""
-    grid = np.arange(step, 1.0 + step, step)
+    interior entries equal; empty when nothing is feasible.
+
+    lam_n runs over its feasible interval [n/(R(n-1)+1), n/(R+n-1)] in
+    round(1/step) steps, so the grid keeps its resolution however small
+    lam_n gets at large R."""
+    lo, hi = n / (ratio * (n - 1) + 1.0), n / (ratio + n - 1.0)
+    grid = np.linspace(lo, hi, int(round(1.0 / step)) + 1)
     interior = (n - (1.0 + ratio) * grid) / (n - 2)
     mask = (interior >= grid) & (interior <= ratio * grid)
     return grid[mask], interior[mask]

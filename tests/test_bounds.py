@@ -153,13 +153,7 @@ def test_delinkage_bound_matches_grid_oracle():
 def test_trace_bounds_match_grid_oracle():
     for n, ratio in _ORACLE_POINTS:
         trace = bound_trace_S(n, ratio)
-        oracle_lower = oracle_min_inverse_sum(n, ratio)
-        if ratio <= 1e3:
-            assert trace.lower == pytest.approx(oracle_lower, abs=1e-4)
-        else:
-            # The oracle's uniform 1e-6 grid cannot reach a minimizer with
-            # lam_n of order 1/R, so it can only confirm the bound from above.
-            assert trace.lower <= oracle_lower + 1e-4
+        assert trace.lower == pytest.approx(oracle_min_inverse_sum(n, ratio), abs=1e-4)
         assert trace.upper == pytest.approx(oracle_max_inverse_sum(n, ratio), abs=1e-4)
 
 

@@ -4,12 +4,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fgvi
 from fgvi.cli import main, read_matrix_file, write_matrix_file
 from fgvi.gaussian import GaussianTarget, decompose
 
@@ -353,8 +356,14 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def test_console_script_help():
+    # The child imports fgvi from the same tree as this test run.
+    src = str(Path(fgvi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-m", "fgvi.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "fgvi.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     for name in ("analyze", "sweep", "bounds", "mixture"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgvi.engine import gaussian_log_density_fn
 from fgvi.gaussian import (
     LOG_TWO_PI_E,
     ConstantOffDiagClosedForms,
@@ -42,9 +43,12 @@ def test_target_rejects_asymmetric_covariance():
 
 
 def test_target_rejects_indefinite_covariance():
-    cov = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(ConditioningError):
-        GaussianTarget(mean=np.zeros(2), covariance=cov)
+    # Indefinite, singular, and with a non-positive diagonal entry.
+    for cov in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -2.0]]):
+        with pytest.raises(ConditioningError, match="column 1") as info:
+            GaussianTarget(mean=np.zeros(2), covariance=np.array(cov))
+        assert info.value.column == 1
+        assert info.value.pivot <= info.value.threshold
 
 
 def test_target_rejects_non_finite_entries():
@@ -298,6 +302,74 @@ def test_decomposition_invariants_property(n, seed):
         assert report.entropy_gap > 0.0
         coupled = np.flatnonzero(np.max(off, axis=1) > 1e-8)
         assert np.all(approx.variances[coupled] < sigma_diag[coupled])
+
+
+def test_one_factorization_per_target(monkeypatch):
+    import fgvi.gaussian
+
+    calls = []
+    factor = fgvi.gaussian.spd_cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(fgvi.gaussian, "spd_cholesky", counted)
+    target = random_spd_target(9, np.random.default_rng(3))
+    decompose(target)
+    fgvi_solve(target)
+    correlation_from_covariance(target)
+    gaussian_log_density_fn(target)(np.zeros((4, 9)))
+    assert calls == [(9, 9)]
+
+
+def _invariant_fields(target):
+    report = decompose(target)
+    fields = {
+        name: getattr(report, name)
+        for name in ("log_det_S", "log_det_C", "condition_number", "entropy_gap")
+    }
+    fields["psi_ratio"] = fgvi_solve(target).variances / np.diag(target.covariance)
+    return fields
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**31 - 1))
+def test_decomposition_metamorphic_property(n, seed):
+    # Rescaling coordinates, permuting them and shifting the mean cannot
+    # change the decomposition.
+    rng = np.random.default_rng(seed)
+    target = random_spd_target(n, rng)
+    base = _invariant_fields(target)
+    cov, mean = target.covariance, target.mean
+
+    # Power-of-two scales and a mean shift are exact in floating point, and
+    # so must the scale-free fields be.
+    scale = 2.0 ** rng.integers(-30, 31, size=n)
+    shift = rng.normal(0.0, 5.0, size=n)
+    shifted = _invariant_fields(
+        GaussianTarget(mean=mean + shift, covariance=cov * np.outer(scale, scale))
+    )
+    for name in ("log_det_S", "log_det_C", "condition_number"):
+        assert shifted[name] == base[name], name
+    assert np.array_equal(shifted["psi_ratio"], base["psi_ratio"])
+
+    perm = rng.permutation(n)
+    permuted = _invariant_fields(
+        GaussianTarget(mean=mean[perm], covariance=cov[np.ix_(perm, perm)])
+    )
+    for name in ("log_det_S", "log_det_C", "condition_number", "entropy_gap"):
+        assert permuted[name] == pytest.approx(base[name], rel=1e-9, abs=1e-9), name
+    assert np.allclose(permuted["psi_ratio"], base["psi_ratio"][perm], rtol=1e-9, atol=1e-9)
+
+    scale = np.exp(rng.normal(0.0, 1.0, size=n))
+    rescaled = _invariant_fields(
+        GaussianTarget(mean=mean, covariance=cov * np.outer(scale, scale))
+    )
+    tol = max(1e-9, n * base["condition_number"] * 2.0**-52)
+    for name in ("log_det_S", "log_det_C", "condition_number"):
+        assert rescaled[name] == pytest.approx(base[name], rel=tol, abs=tol), name
+    assert np.allclose(rescaled["psi_ratio"], base["psi_ratio"], rtol=tol, atol=tol)
 
 
 # ------------------------------------------------------------ closed forms

@@ -18,6 +18,20 @@ def _random_spd(n, seed):
     return random_spd_target(n, np.random.default_rng(seed)).covariance
 
 
+def _reference_cholesky(a, pivot_rtol=1e-12):
+    """Column-by-column factor with the pivot test applied in order; returns
+    the factor, or the first failing column."""
+    n = a.shape[0]
+    lower = np.zeros_like(a)
+    for j in range(n):
+        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        if pivot <= pivot_rtol * a[j, j]:
+            return j
+        lower[j, j] = np.sqrt(pivot)
+        lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
 def test_cholesky_matches_numpy():
     for seed, n in enumerate((1, 2, 3, 7, 25, 80)):
         matrix = _random_spd(n, seed)
@@ -35,8 +49,10 @@ def test_cholesky_reconstructs_input():
 
 def test_indefinite_matrix_rejected_with_pivot_location():
     matrix = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(ConditioningError, match="column 1"):
+    with pytest.raises(ConditioningError, match="column 1") as info:
         spd_cholesky(matrix)
+    assert info.value.column == 1
+    assert info.value.pivot <= info.value.threshold
 
 
 def test_singular_matrix_rejected():
@@ -75,6 +91,8 @@ def test_inverse_diagonal_matches_explicit_inverse():
         diag = inverse_diagonal(spd_cholesky(matrix))
         expected = np.diag(np.linalg.inv(matrix))
         assert np.allclose(diag, expected, rtol=1e-9)
+    with pytest.raises(np.linalg.LinAlgError):
+        inverse_diagonal(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -84,3 +102,29 @@ def test_factorization_round_trip_property(n, seed):
     lower = spd_cholesky(matrix)
     assert np.all(np.diag(lower) > 0)
     assert np.allclose(lower @ lower.T, matrix, rtol=1e-11, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    rank=st.integers(min_value=0, max_value=16),
+    indefinite=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_cholesky_matches_column_reference(n, rank, indefinite, seed):
+    # The same factor on full-rank input; the same first failing column on
+    # rank-deficient or indefinite input.
+    matrix = _random_spd(n, seed)
+    if rank < n:
+        base = np.random.default_rng(seed).standard_normal((n, rank))
+        matrix = base @ base.T
+    if indefinite:
+        matrix = matrix - np.median(np.linalg.eigvalsh(matrix)) * np.eye(n)
+    reference = _reference_cholesky(matrix)
+    if isinstance(reference, int):
+        with pytest.raises(ConditioningError) as info:
+            spd_cholesky(matrix)
+        assert info.value.column == reference
+        assert info.value.pivot <= info.value.threshold
+    else:
+        assert np.allclose(spd_cholesky(matrix), reference, rtol=1e-10, atol=1e-12)
