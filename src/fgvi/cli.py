@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,73 +65,58 @@ def _parse_float_list(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+        values = []
     if not values:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
     return values
 
 
-# Coercions applied uniformly to config-file values and CLI flag strings.
-_COERCERS = {
-    "n": int,
-    "eps": float,
-    "rho": float,
-    "seed": int,
-    "domain_upper": float,
-    "jitter": float,
-    "separation": float,
-    "sigma": float,
-    "weights": _parse_float_list,
-    "eps_grid": _parse_float_list,
-    "rho_grid": _parse_float_list,
-    "R_grid": _parse_float_list,
-    "matrix_file": str,
-    "out": str,
-    "format": str,
-    "learning_rate": float,
-    "mc_samples": int,
-    "max_steps": int,
-    "tolerance": float,
-    "window": int,
-    "average_decay": float,
-    "init_jitter": float,
-}
+_FAMILIES = "analyze sweep bounds"
+_ALL = _FAMILIES + " mixture"
+_FORMATS = ("csv", "json-lines")
 
-_COMMON_KEYS = ("seed", "out", "format")
-_ALLOWED_KEYS = {
-    "analyze": _COMMON_KEYS + ("n", "eps", "rho", "matrix_file", "domain_upper", "jitter"),
-    "sweep": _COMMON_KEYS + ("n", "eps_grid", "rho_grid", "domain_upper", "jitter"),
-    "bounds": _COMMON_KEYS
-    + ("n", "R_grid", "eps_grid", "rho_grid", "domain_upper", "jitter"),
-    "mixture": _COMMON_KEYS
-    + (
-        "n",
-        "separation",
-        "sigma",
-        "weights",
-        "learning_rate",
-        "mc_samples",
-        "max_steps",
-        "tolerance",
-        "window",
-        "average_decay",
-        "init_jitter",
-    ),
-}
 
-_DEFAULTS = {
-    "analyze": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
-    "sweep": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
-    "bounds": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
-    "mixture": {
-        "seed": 0,
-        "out": "-",
-        "format": "csv",
-        "n": 2,
-        "separation": 10.0,
-        "sigma": 1.0,
-        "weights": [0.5, 0.5],
-    },
+def _on(subcommands: str, default=None) -> dict:
+    return dict.fromkeys(subcommands.split(), default)
+
+
+class _Key(NamedTuple):
+    """One config key: its coercion (config-file values and flag strings),
+    the subcommands that accept it with their defaults (None for none), and
+    whether it is also a ``--flag``."""
+
+    coerce: Callable[[str], object]
+    defaults: dict
+    flag: bool = False
+    help: str | None = None
+    choices: tuple | None = None
+
+
+# Flags appear in each subcommand's help in this order, then --config.
+_KEYS = {
+    "n": _Key(int, {**_on(_FAMILIES), "mixture": 2}, flag=True),
+    "eps": _Key(float, _on("analyze"), flag=True, help="constant off-diagonal value"),
+    "rho": _Key(float, _on("analyze"), flag=True, help="kernel length scale"),
+    "matrix_file": _Key(str, _on("analyze"), flag=True, help="covariance file (n, then n rows)"),
+    "R_grid": _Key(_parse_float_list, _on("bounds"), flag=True),
+    "eps_grid": _Key(_parse_float_list, _on("sweep bounds"), flag=True),
+    "rho_grid": _Key(_parse_float_list, _on("sweep bounds"), flag=True),
+    "separation": _Key(float, _on("mixture", 10.0), flag=True),
+    "sigma": _Key(float, _on("mixture", 1.0), flag=True),
+    "weights": _Key(_parse_float_list, _on("mixture", [0.5, 0.5]), flag=True),
+    "seed": _Key(int, _on(_ALL, 0), flag=True, help="PRNG seed (unsigned 64-bit)"),
+    "out": _Key(str, _on(_ALL, "-"), flag=True, help="output path, '-' for stdout"),
+    "format": _Key(str, _on(_ALL, "csv"), flag=True, choices=_FORMATS),
+    "domain_upper": _Key(float, _on(_FAMILIES, 200.0)),
+    "jitter": _Key(float, _on(_FAMILIES, 1e-8)),
+    # Optimizer settings: config file only, OptimizerConfig's defaults.
+    "learning_rate": _Key(float, _on("mixture")),
+    "mc_samples": _Key(int, _on("mixture")),
+    "max_steps": _Key(int, _on("mixture")),
+    "tolerance": _Key(float, _on("mixture")),
+    "window": _Key(int, _on("mixture")),
+    "average_decay": _Key(float, _on("mixture")),
+    "init_jitter": _Key(float, _on("mixture")),
 }
 
 
@@ -154,92 +141,76 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(subcommand: str, flags: dict, config_path: str | None) -> dict:
     """Effective config: defaults, then config file, then explicit flags."""
-    allowed = _ALLOWED_KEYS[subcommand]
-    effective = dict(_DEFAULTS[subcommand])
+    keys = {name: key for name, key in _KEYS.items() if subcommand in key.defaults}
+    effective = {
+        name: key.defaults[subcommand]
+        for name, key in keys.items()
+        if key.defaults[subcommand] is not None
+    }
     if config_path is not None:
-        for key, raw in read_config_file(config_path).items():
-            if key not in allowed:
-                raise ValueError(f"config key {key!r} is not valid for {subcommand!r}")
-            effective[key] = _COERCERS[key](raw)
-    for key, value in flags.items():
-        if value is not None and key in allowed:
-            effective[key] = value
+        for name, raw in read_config_file(config_path).items():
+            if name not in keys:
+                raise ValueError(f"config key {name!r} is not valid for {subcommand!r}")
+            effective[name] = keys[name].coerce(raw)
+    for name, value in flags.items():
+        if value is not None and name in keys:
+            effective[name] = value
     fmt = effective.get("format")
-    if fmt not in ("csv", "json-lines"):
+    if fmt not in _FORMATS:
         raise ValueError(f"format must be 'csv' or 'json-lines', got {fmt!r}")
     return effective
 
 
-def _canonical(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (list, tuple)):
-        return ",".join(_canonical(v) for v in value)
-    return str(value)
-
-
-def config_hash(subcommand: str, effective: dict) -> str:
-    payload = "\n".join(
-        [subcommand] + [f"{k}={_canonical(v)}" for k, v in sorted(effective.items())]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
-def _format_cell(value) -> str:
+def _text(value) -> str:
+    """A value as written in CSV cells, metadata and the config hash."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
+    if isinstance(value, (list, tuple)):
+        return ",".join(_text(v) for v in value)
     return str(value)
 
 
-def _json_scalar(value) -> str:
+def config_hash(subcommand: str, effective: dict) -> str:
+    payload = "\n".join(
+        [subcommand] + [f"{k}={_text(v)}" for k, v in sorted(effective.items())]
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def _json(value) -> str:
+    """A value as a JSON token: numbers and booleans as in CSV."""
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    text = str(value)
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json(v) for v in value) + "]"
+    if isinstance(value, (bool, int, float, np.number)):
+        return _text(value)
+    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
 
 def _json_line(record: dict) -> str:
-    parts = []
-    for key, value in record.items():
-        if isinstance(value, dict):
-            parts.append(f'"{key}": {_json_line(value)}')
-        elif isinstance(value, (list, tuple)):
-            inner = ", ".join(_json_scalar(v) for v in value)
-            parts.append(f'"{key}": [{inner}]')
-        else:
-            parts.append(f'"{key}": {_json_scalar(value)}')
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(f'"{key}": {_json(value)}' for key, value in record.items()) + "}"
 
 
 def write_table(stream, fmt: str, metadata: dict, columns: list[str], rows: list[dict]) -> None:
     """Emit one table with a leading metadata record."""
     if fmt == "csv":
         for key, value in metadata.items():
-            stream.write(f"# {key}={_canonical(value)}\n")
+            stream.write(f"# {key}={_text(value)}\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in columns])
+            writer.writerow([_text(row.get(col)) for col in columns])
     else:
         stream.write(_json_line({"record": "metadata", **metadata}) + "\n")
         stream.write(_json_line({"record": "header", "columns": columns}) + "\n")
         for row in rows:
-            line = {"record": "row"}
-            line.update({col: row.get(col) for col in columns})
-            stream.write(_json_line(line) + "\n")
+            stream.write(_json_line({"record": "row", **{c: row.get(c) for c in columns}}) + "\n")
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -280,93 +251,12 @@ def write_matrix_file(path: str, matrix: np.ndarray) -> None:
             handle.write(" ".join(format(v, ".17g") for v in row) + "\n")
 
 
-def _build_target(effective: dict) -> GaussianTarget:
-    sources = [
-        effective.get("matrix_file") is not None,
-        effective.get("eps") is not None,
-        effective.get("rho") is not None,
-    ]
-    if sum(sources) != 1:
-        raise ValueError("exactly one of --matrix-file, --eps, --rho must be given")
-    if effective.get("matrix_file") is not None:
-        cov = read_matrix_file(effective["matrix_file"])
-        return GaussianTarget(mean=np.zeros(cov.shape[0]), covariance=cov)
-    if effective.get("n") is None:
-        raise ValueError("--n is required with --eps or --rho")
-    n = effective["n"]
-    if effective.get("eps") is not None:
-        return constant_offdiag_target(ConstantOffDiagConfig(n=n, eps=effective["eps"]))
-    return squared_exponential_target(
-        KernelConfig(
-            n=n,
-            rho=effective["rho"],
-            seed=effective["seed"],
-            domain_upper=effective["domain_upper"],
-            jitter=effective["jitter"],
-        )
-    )
-
-
-def run_analyze(effective: dict) -> tuple[list[str], list[dict], int]:
-    target = _build_target(effective)
-    report = decompose(target)
-    approx = fgvi_solve(target)
-    shrink = shrinkage_matrix(target, approx)
-    n = target.n
-
-    rows = [{"section": "report", "name": "n", "value": n}]
-    for name in (
-        "log_det_S",
-        "log_det_C",
-        "entropy_p",
-        "entropy_q",
-        "entropy_gap",
-        "kl_q_p",
-        "condition_number",
-    ):
-        rows.append({"section": "report", "name": name, "value": getattr(report, name)})
-    rows.append(
-        {"section": "report", "name": "per_component_gap", "value": report.entropy_gap / n}
-    )
-    sigma_diag = np.diag(target.covariance)
-    for i in range(n):
-        rows.append({"section": "coordinate", "name": "sigma_ii", "i": i, "value": sigma_diag[i]})
-    for i in range(n):
-        rows.append({"section": "coordinate", "name": "psi_ii", "i": i, "value": approx.variances[i]})
-    for i in range(n):
-        rows.append({"section": "coordinate", "name": "s_ii", "i": i, "value": shrink.diagonal[i]})
-    if n >= 2:
-        cov_p = target.covariance[:2, :2]
-        cov_q = np.diag(approx.variances[:2])
-        for i in range(2):
-            for j in range(i, 2):
-                rows.append(
-                    {"section": "ellipse_p", "name": "cov", "i": i, "j": j, "value": cov_p[i, j]}
-                )
-        for i in range(2):
-            for j in range(i, 2):
-                rows.append(
-                    {"section": "ellipse_q", "name": "cov", "i": i, "j": j, "value": cov_q[i, j]}
-                )
-    return ["section", "name", "i", "j", "value"], rows, EXIT_OK
-
-
-def _sweep_axis(effective: dict) -> tuple[str, list[float]]:
-    has_eps = effective.get("eps_grid") is not None
-    has_rho = effective.get("rho_grid") is not None
-    if has_eps == has_rho:
-        raise ValueError("exactly one of --eps-grid, --rho-grid must be given")
-    axis = "eps" if has_eps else "rho"
-    grid = effective["eps_grid" if has_eps else "rho_grid"]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"--{axis}-grid must be strictly ascending")
-    return axis, grid
-
-
-def _sweep_target(effective: dict, axis: str, value: float) -> GaussianTarget:
+def _family_target(effective: dict, axis: str, value: float) -> GaussianTarget:
+    """The equicorrelated (axis 'eps') or squared-exponential kernel (axis
+    'rho') target of size --n at one parameter value."""
     n = effective.get("n")
     if n is None:
-        raise ValueError("--n is required for a sweep")
+        raise ValueError("--n is required with --eps, --rho, --eps-grid or --rho-grid")
     if axis == "eps":
         return constant_offdiag_target(ConstantOffDiagConfig(n=n, eps=value))
     return squared_exponential_target(
@@ -380,11 +270,77 @@ def _sweep_target(effective: dict, axis: str, value: float) -> GaussianTarget:
     )
 
 
+def _family_grid(effective: dict) -> tuple[str, list[float]] | None:
+    """The family axis and grid of --eps-grid or --rho-grid; None if neither."""
+    given = [axis for axis in ("eps", "rho") if effective.get(f"{axis}_grid") is not None]
+    if len(given) > 1:
+        raise ValueError("give at most one of --eps-grid, --rho-grid")
+    return (given[0], effective[f"{given[0]}_grid"]) if given else None
+
+
+def _named_rows(section: str, values: dict) -> list[dict]:
+    return [{"section": section, "name": name, "value": v} for name, v in values.items()]
+
+
+def _coordinate_rows(vectors: dict) -> list[dict]:
+    """One 'coordinate' row per entry of each named per-coordinate vector."""
+    return [
+        {"section": "coordinate", "name": name, "i": i, "value": value}
+        for name, vector in vectors.items()
+        for i, value in enumerate(vector)
+    ]
+
+
+def run_analyze(effective: dict) -> tuple[list[str], list[dict], int]:
+    sources = [key for key in ("matrix_file", "eps", "rho") if effective.get(key) is not None]
+    if len(sources) != 1:
+        raise ValueError("exactly one of --matrix-file, --eps, --rho must be given")
+    if sources == ["matrix_file"]:
+        cov = read_matrix_file(effective["matrix_file"])
+        target = GaussianTarget(mean=np.zeros(cov.shape[0]), covariance=cov)
+    else:
+        target = _family_target(effective, sources[0], effective[sources[0]])
+    report = decompose(target)
+    approx = fgvi_solve(target)
+    shrink = shrinkage_matrix(target, approx)
+    n = target.n
+
+    names = ("log_det_S", "log_det_C", "entropy_p", "entropy_q", "entropy_gap", "kl_q_p")
+    rows = _named_rows(
+        "report",
+        {
+            "n": n,
+            **{name: getattr(report, name) for name in names + ("condition_number",)},
+            "per_component_gap": report.entropy_gap / n,
+        },
+    )
+    rows += _coordinate_rows(
+        {
+            "sigma_ii": np.diag(target.covariance),
+            "psi_ii": approx.variances,
+            "s_ii": shrink.diagonal,
+        }
+    )
+    if n >= 2:
+        cov_q = np.diag(approx.variances[:2])
+        rows += [
+            {"section": section, "name": "cov", "i": i, "j": j, "value": cov[i, j]}
+            for section, cov in (("ellipse_p", target.covariance), ("ellipse_q", cov_q))
+            for i, j in ((0, 0), (0, 1), (1, 1))
+        ]
+    return ["section", "name", "i", "j", "value"], rows, EXIT_OK
+
+
 def run_sweep(effective: dict) -> tuple[list[str], list[dict], int]:
-    axis, grid = _sweep_axis(effective)
+    family = _family_grid(effective)
+    if family is None:
+        raise ValueError("exactly one of --eps-grid, --rho-grid must be given")
+    axis, grid = family
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"--{axis}-grid must be strictly ascending")
 
     def one_point(value: float) -> dict:
-        report = decompose(_sweep_target(effective, axis, value))
+        report = decompose(_family_target(effective, axis, value))
         return {
             "axis": axis,
             "value": value,
@@ -396,16 +352,21 @@ def run_sweep(effective: dict) -> tuple[list[str], list[dict], int]:
         }
 
     rows = [one_point(value) for value in grid]
-    columns = [
-        "axis",
-        "value",
-        "half_log_det_S",
-        "half_log_det_C_inv",
-        "entropy_gap",
-        "kl_q_p",
-        "condition_number",
-    ]
-    return columns, rows, EXIT_OK
+    return list(rows[0]), rows, EXIT_OK
+
+
+_BOUND_COLUMNS = (
+    "upper_log_det_S",
+    "upper_log_det_C",
+    "lower_trace_S",
+    "upper_trace_S",
+    "joint_kl_upper",
+    "separate_kl_upper",
+)
+
+
+def _bound_cells(report) -> dict:
+    return {name: getattr(report, name) for name in _BOUND_COLUMNS}
 
 
 def run_bounds(effective: dict) -> tuple[list[str], list[dict], int]:
@@ -413,85 +374,57 @@ def run_bounds(effective: dict) -> tuple[list[str], list[dict], int]:
     ratio_grid = effective.get("R_grid")
     if n is None or ratio_grid is None:
         raise ValueError("--n and --R-grid are required for bounds")
-    has_eps = effective.get("eps_grid") is not None
-    has_rho = effective.get("rho_grid") is not None
-    if has_eps and has_rho:
-        raise ValueError("give at most one of --eps-grid, --rho-grid")
+    family = _family_grid(effective)
 
     columns = [
         "row_type",
         "R",
         "family",
         "family_value",
-        "upper_log_det_S",
-        "upper_log_det_C",
-        "lower_trace_S",
-        "upper_trace_S",
-        "joint_kl_upper",
-        "separate_kl_upper",
+        *_BOUND_COLUMNS,
         "measured_log_det_S",
         "measured_log_det_C",
         "measured_trace_S",
         "measured_kl",
         "valid",
     ]
-
-    envelope = envelope_sweep(n, ratio_grid)
     rows = [
-        {
-            "row_type": "envelope",
-            "R": report.condition_ratio,
-            "upper_log_det_S": report.upper_log_det_S,
-            "upper_log_det_C": report.upper_log_det_C,
-            "lower_trace_S": report.lower_trace_S,
-            "upper_trace_S": report.upper_trace_S,
-            "joint_kl_upper": report.joint_kl_upper,
-            "separate_kl_upper": report.separate_kl_upper,
-        }
-        for report in envelope
+        {"row_type": "envelope", "R": report.condition_ratio, **_bound_cells(report)}
+        for report in envelope_sweep(n, ratio_grid)
     ]
+    if family is None:
+        return columns, rows, EXIT_OK
+    axis, grid = family
 
-    code = EXIT_OK
-    if has_eps or has_rho:
-        axis = "eps" if has_eps else "rho"
-        grid = effective["eps_grid" if has_eps else "rho_grid"]
+    def one_point(value: float) -> dict:
+        target = _family_target(effective, axis, value)
+        measured = decompose(target)
+        trace_s = shrinkage_matrix(target, fgvi_solve(target)).trace
+        at_ratio = bounds_report(n, measured.condition_number)
+        valid = (
+            measured.log_det_S <= at_ratio.upper_log_det_S + _slack(at_ratio.upper_log_det_S)
+            and measured.log_det_C <= at_ratio.upper_log_det_C + _slack(at_ratio.upper_log_det_C)
+            and at_ratio.lower_trace_S - _slack(at_ratio.lower_trace_S)
+            <= trace_s
+            <= at_ratio.upper_trace_S + _slack(at_ratio.upper_trace_S)
+            and measured.kl_q_p <= at_ratio.joint_kl_upper + _slack(at_ratio.joint_kl_upper)
+        )
+        return {
+            "row_type": "measured",
+            "R": measured.condition_number,
+            "family": axis,
+            "family_value": value,
+            **_bound_cells(at_ratio),
+            "measured_log_det_S": measured.log_det_S,
+            "measured_log_det_C": measured.log_det_C,
+            "measured_trace_S": trace_s,
+            "measured_kl": measured.kl_q_p,
+            "valid": valid,
+        }
 
-        def one_point(value: float) -> dict:
-            target = _sweep_target(effective, axis, value)
-            measured = decompose(target)
-            trace_s = shrinkage_matrix(target, fgvi_solve(target)).trace
-            at_ratio = bounds_report(n, measured.condition_number)
-            valid = (
-                measured.log_det_S <= at_ratio.upper_log_det_S + _slack(at_ratio.upper_log_det_S)
-                and measured.log_det_C <= at_ratio.upper_log_det_C + _slack(at_ratio.upper_log_det_C)
-                and at_ratio.lower_trace_S - _slack(at_ratio.lower_trace_S)
-                <= trace_s
-                <= at_ratio.upper_trace_S + _slack(at_ratio.upper_trace_S)
-                and measured.kl_q_p <= at_ratio.joint_kl_upper + _slack(at_ratio.joint_kl_upper)
-            )
-            return {
-                "row_type": "measured",
-                "R": measured.condition_number,
-                "family": axis,
-                "family_value": value,
-                "upper_log_det_S": at_ratio.upper_log_det_S,
-                "upper_log_det_C": at_ratio.upper_log_det_C,
-                "lower_trace_S": at_ratio.lower_trace_S,
-                "upper_trace_S": at_ratio.upper_trace_S,
-                "joint_kl_upper": at_ratio.joint_kl_upper,
-                "separate_kl_upper": at_ratio.separate_kl_upper,
-                "measured_log_det_S": measured.log_det_S,
-                "measured_log_det_C": measured.log_det_C,
-                "measured_trace_S": trace_s,
-                "measured_kl": measured.kl_q_p,
-                "valid": valid,
-            }
-
-        measured_rows = [one_point(value) for value in grid]
-        rows.extend(measured_rows)
-        if not all(row["valid"] for row in measured_rows):
-            code = EXIT_INVALID_FLAG
-    return columns, rows, code
+    measured_rows = [one_point(value) for value in grid]
+    code = EXIT_OK if all(row["valid"] for row in measured_rows) else EXIT_INVALID_FLAG
+    return columns, rows + measured_rows, code
 
 
 def _mixture_from_config(effective: dict) -> MixtureTarget:
@@ -511,67 +444,47 @@ def _mixture_from_config(effective: dict) -> MixtureTarget:
 
 def run_mixture(effective: dict) -> tuple[list[str], list[dict], int]:
     target = _mixture_from_config(effective)
-    seed = effective["seed"]
-    optimizer_keys = (
-        "learning_rate",
-        "mc_samples",
-        "max_steps",
-        "tolerance",
-        "window",
-        "average_decay",
-        "init_jitter",
-    )
-    overrides = {k: effective[k] for k in optimizer_keys if k in effective}
-    config = OptimizerConfig(
-        seed=seed, init_mean=mixture_init_mean(target, seed), **overrides
-    )
+    fields = {field.name for field in dataclasses.fields(OptimizerConfig)}
+    settings = {k: v for k, v in effective.items() if k in fields}
+    config = OptimizerConfig(init_mean=mixture_init_mean(target, effective["seed"]), **settings)
     fitted = fit_fgvi(mixture_log_density_fn(target), target.n, config)
     comparison = shrinkage_comparison(target, fitted)
     moments = mixture_moments(target)
-    bound = max_entropy_gap_bound(moments, fitted)
 
-    rows = [
-        {"section": "summary", "name": "n", "value": target.n},
-        {"section": "summary", "name": "components", "value": target.components},
-        {"section": "summary", "name": "trace_S", "value": comparison.trace_S},
-        {"section": "summary", "name": "trace_S_G", "value": comparison.trace_S_G},
-        {"section": "summary", "name": "max_entropy_gap_bound", "value": bound},
+    rows = _named_rows(
+        "summary",
         {
-            "section": "summary",
-            "name": "mean_log_shrinkage",
-            "value": comparison.S.log_det / target.n,
+            "n": target.n,
+            "components": target.components,
+            "trace_S": comparison.trace_S,
+            "trace_S_G": comparison.trace_S_G,
+            "max_entropy_gap_bound": max_entropy_gap_bound(moments, fitted),
+            "mean_log_shrinkage": comparison.S.log_det / target.n,
+            "step_count": fitted.step_count,
         },
-        {"section": "summary", "name": "step_count", "value": fitted.step_count},
+    )
+    rows += _coordinate_rows(
+        {
+            "sigma_ii": np.diag(moments.covariance),
+            "psi_ii": fitted.variances,
+            "s_ii": comparison.S.diagonal,
+            "s_g_ii": comparison.S_G.diagonal,
+            "fitted_mean": fitted.mean,
+        }
+    )
+    rows += [
+        {"section": "elbo", "name": "estimate", "i": step, "value": value}
+        for step, value in fitted.elbo_trace
     ]
-    sigma_diag = np.diag(moments.covariance)
-    for i in range(target.n):
-        rows.append({"section": "coordinate", "name": "sigma_ii", "i": i, "value": sigma_diag[i]})
-    for i in range(target.n):
-        rows.append(
-            {"section": "coordinate", "name": "psi_ii", "i": i, "value": fitted.variances[i]}
-        )
-    for i in range(target.n):
-        rows.append(
-            {"section": "coordinate", "name": "s_ii", "i": i, "value": comparison.S.diagonal[i]}
-        )
-    for i in range(target.n):
-        rows.append(
-            {"section": "coordinate", "name": "s_g_ii", "i": i, "value": comparison.S_G.diagonal[i]}
-        )
-    for i in range(target.n):
-        rows.append(
-            {"section": "coordinate", "name": "fitted_mean", "i": i, "value": fitted.mean[i]}
-        )
-    for step, value in fitted.elbo_trace:
-        rows.append({"section": "elbo", "name": "estimate", "i": step, "value": value})
     return ["section", "name", "i", "value"], rows, EXIT_OK
 
 
-_RUNNERS = {
-    "analyze": run_analyze,
-    "sweep": run_sweep,
-    "bounds": run_bounds,
-    "mixture": run_mixture,
+# Subcommand: (help, runner).
+_SUBCOMMANDS = {
+    "analyze": ("decompose one Gaussian target", run_analyze),
+    "sweep": ("decompose a family along a parameter grid", run_sweep),
+    "bounds": ("condition-number bound envelopes", run_bounds),
+    "mixture": ("stochastic fit of a Gaussian mixture", run_mixture),
 }
 
 
@@ -582,40 +495,17 @@ def build_parser() -> argparse.ArgumentParser:
         "for factorized Gaussian approximations.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--seed", type=int, default=None, help="PRNG seed (unsigned 64-bit)")
-        sub.add_argument("--out", default=None, help="output path, '-' for stdout")
-        sub.add_argument("--format", choices=("csv", "json-lines"), default=None)
+    for command, (help_text, _) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        for name, key in _KEYS.items():
+            if key.flag and command in key.defaults:
+                sub.add_argument(
+                    "--" + name.replace("_", "-"),
+                    type=key.coerce,
+                    choices=key.choices,
+                    help=key.help,
+                )
         sub.add_argument("--config", default=None, help="key = value config file")
-
-    analyze = subparsers.add_parser("analyze", help="decompose one Gaussian target")
-    analyze.add_argument("--n", type=int, default=None)
-    analyze.add_argument("--eps", type=float, default=None, help="constant off-diagonal value")
-    analyze.add_argument("--rho", type=float, default=None, help="kernel length scale")
-    analyze.add_argument("--matrix-file", default=None, help="covariance file (n, then n rows)")
-    add_common(analyze)
-
-    sweep = subparsers.add_parser("sweep", help="decompose a family along a parameter grid")
-    sweep.add_argument("--n", type=int, default=None)
-    sweep.add_argument("--eps-grid", type=_parse_float_list, default=None)
-    sweep.add_argument("--rho-grid", type=_parse_float_list, default=None)
-    add_common(sweep)
-
-    bounds = subparsers.add_parser("bounds", help="condition-number bound envelopes")
-    bounds.add_argument("--n", type=int, default=None)
-    bounds.add_argument("--R-grid", dest="R_grid", type=_parse_float_list, default=None)
-    bounds.add_argument("--eps-grid", type=_parse_float_list, default=None)
-    bounds.add_argument("--rho-grid", type=_parse_float_list, default=None)
-    add_common(bounds)
-
-    mixture = subparsers.add_parser("mixture", help="stochastic fit of a Gaussian mixture")
-    mixture.add_argument("--n", type=int, default=None)
-    mixture.add_argument("--separation", type=float, default=None)
-    mixture.add_argument("--sigma", type=float, default=None)
-    mixture.add_argument("--weights", type=_parse_float_list, default=None)
-    add_common(mixture)
-
     return parser
 
 
@@ -625,7 +515,7 @@ def main(argv=None) -> int:
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         effective = resolve_config(args.command, flags, args.config)
-        columns, rows, code = _RUNNERS[args.command](effective)
+        columns, rows, code = _SUBCOMMANDS[args.command][1](effective)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -641,9 +531,8 @@ def main(argv=None) -> int:
         "version": __version__,
         "subcommand": args.command,
         "config_hash": config_hash(args.command, effective),
+        **{f"config.{key}": _text(effective[key]) for key in sorted(effective)},
     }
-    for key in sorted(effective):
-        metadata[f"config.{key}"] = _canonical(effective[key])
 
     out_path = effective.get("out", "-")
     if out_path == "-":

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fgvi
-from fgvi.cli import main, read_matrix_file, write_matrix_file
+from fgvi.cli import build_parser, main, read_matrix_file, resolve_config, write_matrix_file
 from fgvi.gaussian import GaussianTarget, decompose
 
 from conftest import random_spd_target
@@ -316,12 +316,113 @@ def test_config_file_precedence_and_hash(tmp_path, capsys):
     assert parse_csv(out)[0]["config_hash"] != first_hash
 
 
-def test_unknown_config_key_rejected(tmp_path):
+_COMMON_KEYS = ("seed", "out", "format")
+# Reference: the config keys each subcommand accepts, its defaults and its
+# flags, written out independently of the CLI's own key table.
+_ACCEPTED_KEYS = {
+    "analyze": _COMMON_KEYS + ("n", "eps", "rho", "matrix_file", "domain_upper", "jitter"),
+    "sweep": _COMMON_KEYS + ("n", "eps_grid", "rho_grid", "domain_upper", "jitter"),
+    "bounds": _COMMON_KEYS + ("n", "R_grid", "eps_grid", "rho_grid", "domain_upper", "jitter"),
+    "mixture": _COMMON_KEYS
+    + (
+        "n",
+        "separation",
+        "sigma",
+        "weights",
+        "learning_rate",
+        "mc_samples",
+        "max_steps",
+        "tolerance",
+        "window",
+        "average_decay",
+        "init_jitter",
+    ),
+}
+_DEFAULTS = {
+    "analyze": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
+    "sweep": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
+    "bounds": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
+    "mixture": {
+        "seed": 0,
+        "out": "-",
+        "format": "csv",
+        "n": 2,
+        "separation": 10.0,
+        "sigma": 1.0,
+        "weights": [0.5, 0.5],
+    },
+}
+_FLAGS = {
+    "analyze": {"n", "eps", "rho", "matrix_file"},
+    "sweep": {"n", "eps_grid", "rho_grid"},
+    "bounds": {"n", "R_grid", "eps_grid", "rho_grid"},
+    "mixture": {"n", "separation", "sigma", "weights"},
+}
+# A config-file value for every key, and its coerced value.
+_KEY_VALUES = {
+    "n": ("3", 3),
+    "eps": ("0.25", 0.25),
+    "rho": ("2.5", 2.5),
+    "matrix_file": ("cov.txt", "cov.txt"),
+    "seed": ("7", 7),
+    "out": ("-", "-"),
+    "format": ("json-lines", "json-lines"),
+    "domain_upper": ("50", 50.0),
+    "jitter": ("1e-6", 1e-6),
+    "eps_grid": ("0.1,0.2", [0.1, 0.2]),
+    "rho_grid": ("1, 2", [1.0, 2.0]),
+    "R_grid": ("1,2,30", [1.0, 2.0, 30.0]),
+    "separation": ("4", 4.0),
+    "sigma": ("1.5", 1.5),
+    "weights": ("0.25,0.75", [0.25, 0.75]),
+    "learning_rate": ("0.02", 0.02),
+    "mc_samples": ("5", 5),
+    "max_steps": ("10", 10),
+    "tolerance": ("0.001", 0.001),
+    "window": ("5", 5),
+    "average_decay": ("0.9", 0.9),
+    "init_jitter": ("0.2", 0.2),
+}
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("rho_grid = 1,2\n")  # sweep key, not valid for analyze
     assert main(["analyze", "--n", "3", "--eps", "0.1", "--config", str(config)]) == 2
     config.write_text("separation six\n")
     assert main(["analyze", "--n", "3", "--eps", "0.1", "--config", str(config)]) == 2
+
+    assert set(_KEY_VALUES) == set().union(*map(set, _ACCEPTED_KEYS.values()))
+    for sub, accepted in _ACCEPTED_KEYS.items():
+        # every accepted key, set from a config file, is taken and coerced
+        config.write_text("".join(f"{key} = {_KEY_VALUES[key][0]}\n" for key in accepted))
+        effective = resolve_config(sub, {}, str(config))
+        assert effective == {key: _KEY_VALUES[key][1] for key in accepted}
+        # a key accepted only by other subcommands is rejected
+        for key in set(_KEY_VALUES) - set(accepted):
+            config.write_text(f"{key} = {_KEY_VALUES[key][0]}\n")
+            with pytest.raises(ValueError, match="is not valid for"):
+                resolve_config(sub, {}, str(config))
+        # the defaults, no more and no fewer, reach the metadata unchanged
+        assert resolve_config(sub, {}, None) == _DEFAULTS[sub]
+        flags = vars(build_parser().parse_args([sub]))
+        assert set(flags) - {"command"} == _FLAGS[sub] | set(_COMMON_KEYS) | {"config"}
+    for sub, argv in (
+        ("analyze", ["--n", "2", "--eps", "0.5"]),
+        ("sweep", ["--n", "2", "--eps-grid", "0.5"]),
+        ("bounds", ["--n", "2", "--R-grid", "2"]),
+        ("mixture", []),
+    ):
+        config.write_text("max_steps = 5\n" if sub == "mixture" else "")
+        code, out = run_cli(sub, *argv, "--config", str(config), capsys=capsys)
+        assert code == 0
+        meta, _ = parse_csv(out)
+        for key, value in _DEFAULTS[sub].items():
+            text = meta[f"config.{key}"]
+            if isinstance(value, list):
+                assert [float(v) for v in text.split(",")] == value, key
+            else:
+                assert type(value)(text) == value, key
 
 
 def test_output_file_writing(tmp_path, capsys):
