@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import json
 import sys
 from typing import Callable, NamedTuple
 
@@ -74,6 +75,7 @@ def _parse_float_list(text: str) -> list[float]:
 _FAMILIES = "analyze sweep bounds"
 _ALL = _FAMILIES + " mixture"
 _FORMATS = ("csv", "json-lines")
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _on(subcommands: str, default=None) -> dict:
@@ -189,8 +191,7 @@ def _json(value) -> str:
         return "[" + ", ".join(_json(v) for v in value) + "]"
     if isinstance(value, (bool, int, float, np.number)):
         return _text(value)
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return _encode_string(str(value))
 
 
 def _json_line(record: dict) -> str:

@@ -269,18 +269,44 @@ def test_byte_identical_reruns(tmp_path):
         assert contents[0] == contents[1]
 
 
-def test_json_lines_structure(capsys):
-    code, out = run_cli(
-        "analyze", "--n", "3", "--eps", "0.4", "--format", "json-lines",
-        capsys=capsys,
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_json_lines_structure(tmp_path, capsys):
+    config = tmp_path / "fit.cfg"
+    config.write_text("max_steps = 50\n")
+    jobs = (
+        ("analyze", "--n", "3", "--eps", "0.4"),
+        ("sweep", "--n", "4", "--rho-grid", "1,5"),
+        ("bounds", "--n", "4", "--R-grid", "1,3", "--eps-grid", "0.2"),
+        ("mixture", "--config", str(config)),
     )
-    assert code == 0
-    lines = [json.loads(line) for line in out.splitlines()]
-    assert lines[0]["record"] == "metadata"
-    assert lines[0]["tool"] == "fgvi"
-    assert lines[1]["record"] == "header"
-    rows = [l for l in lines[2:]]
-    assert all(r["record"] == "row" for r in rows)
+    # A tab is a control character that JSON strings must escape.
+    for out_path in ("-", str(tmp_path / "tab\there \\ \"q\" ü.json")):
+        for argv in jobs:
+            code, out = run_cli(
+                *argv, "--format", "json-lines", "--out", out_path, capsys=capsys
+            )
+            assert code == 0
+            if out_path != "-":
+                assert out == ""
+                out = Path(out_path).read_text(encoding="utf-8")
+            lines = [
+                json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()
+            ]
+            assert lines[0]["record"] == "metadata"
+            assert lines[0]["tool"] == "fgvi"
+            assert lines[0]["subcommand"] == argv[0]
+            assert lines[0]["config.out"] == out_path
+            assert lines[1]["record"] == "header"
+            rows = lines[2:]
+            assert rows and all(r["record"] == "row" for r in rows)
+            assert all(set(r) == {"record", *lines[1]["columns"]} for r in rows)
+    code, out = run_cli(
+        "analyze", "--n", "3", "--eps", "0.4", "--format", "json-lines", capsys=capsys
+    )
+    rows = [json.loads(line) for line in out.splitlines()][2:]
     gap = [r for r in rows if r.get("name") == "entropy_gap"][0]["value"]
     assert isinstance(gap, float)
 
