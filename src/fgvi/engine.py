@@ -113,33 +113,26 @@ def _component_log_terms(target: MixtureTarget, z: np.ndarray) -> np.ndarray:
     return np.log(target.weights)[None, :] + log_norm - 0.5 * sq / var
 
 
-def mixture_log_density(target: MixtureTarget, z: np.ndarray) -> float | np.ndarray:
-    """log p(z) under the mixture; z is one point (n,) or a batch (m, n)."""
+def _log_density_at(target: MixtureTarget, z: np.ndarray) -> tuple:
+    """(log p, gradient) at one point (n,) or a batch (m, n) of points."""
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     if single:
         z = z[None, :]
     if z.shape[1] != target.n:
         raise ValueError(f"points have dimension {z.shape[1]}, target has n={target.n}")
-    terms = _component_log_terms(target, z)
-    top = np.max(terms, axis=1)
-    values = top + np.log(np.sum(np.exp(terms - top[:, None]), axis=1))
-    return float(values[0]) if single else values
+    values, grads = mixture_log_density_fn(target)(z)
+    return (float(values[0]), grads[0]) if single else (values, grads)
+
+
+def mixture_log_density(target: MixtureTarget, z: np.ndarray) -> float | np.ndarray:
+    """log p(z) under the mixture; z is one point (n,) or a batch (m, n)."""
+    return _log_density_at(target, z)[0]
 
 
 def mixture_log_density_grad(target: MixtureTarget, z: np.ndarray) -> np.ndarray:
     """Gradient of log p at z; same batch semantics as the density."""
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    terms = _component_log_terms(target, z)
-    top = np.max(terms, axis=1)
-    resp = np.exp(terms - top[:, None])
-    resp /= np.sum(resp, axis=1, keepdims=True)
-    pull = target.means[None, :, :] - z[:, None, :]
-    grad = np.sum(resp[:, :, None] * pull, axis=1) / target.component_variance
-    return grad[0] if single else grad
+    return _log_density_at(target, z)[1]
 
 
 def mixture_log_density_fn(target: MixtureTarget) -> LogDensityFn:

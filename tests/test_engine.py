@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from fgvi.engine import (
     DivergenceError,
@@ -114,14 +114,39 @@ def test_midpoint_of_symmetric_mixture():
 
 
 def test_density_batch_matches_single_point():
-    target = _default_mixture()
-    fn = mixture_log_density_fn(target)
+    three = MixtureTarget(
+        weights=np.array([0.3, 0.45, 0.25]),
+        means=np.array([[-4.0, 0.0, 1.0], [1.0, 1.0, 0.0], [5.0, -3.0, 2.0]]),
+        component_variance=0.8,
+    )
     rng = np.random.default_rng(3)
-    batch = rng.normal(scale=4.0, size=(10, 2))
-    values, grads = fn(batch)
-    for i, z in enumerate(batch):
-        assert values[i] == pytest.approx(mixture_log_density(target, z), rel=1e-12)
-        assert np.allclose(grads[i], mixture_log_density_grad(target, z), rtol=1e-12)
+    for target in (_default_mixture(), three):
+        batch = rng.normal(scale=4.0, size=(10, target.n))
+        # Reference: per-component scipy densities, logsumexp, and the
+        # gradient sum_k r_k (mu_k - z) / sigma^2 from the responsibilities.
+        cov = target.component_variance * np.eye(target.n)
+        terms = np.stack(
+            [
+                math.log(w) + stats.multivariate_normal(mean=mu, cov=cov).logpdf(batch)
+                for w, mu in zip(target.weights, target.means)
+            ],
+            axis=1,
+        )
+        expected = special.logsumexp(terms, axis=1)
+        resp = np.exp(terms - expected[:, None])
+        expected_grads = np.stack(
+            [
+                sum(r_k * (mu_k - z) for r_k, mu_k in zip(r, target.means))
+                / target.component_variance
+                for r, z in zip(resp, batch)
+            ]
+        )
+        values, grads = mixture_log_density_fn(target)(batch)
+        assert np.allclose(values, expected, rtol=1e-12)
+        assert np.allclose(grads, expected_grads, rtol=1e-12)
+        for i, z in enumerate(batch):
+            assert mixture_log_density(target, z) == pytest.approx(expected[i], rel=1e-12)
+            assert np.allclose(mixture_log_density_grad(target, z), expected_grads[i], rtol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
