@@ -9,7 +9,7 @@ sum(1/lambda_i) and the joint divergence, are found by evaluating them in
 closed form at every vertex at once; only the winning vertex is built as
 a profile.  The maximizer of sum(log lambda_i) and the minimizer of
 sum(1/lambda_i) pin one eigenvalue at each edge and hold the interior ones
-equal, leaving a one-dimensional problem in lambda_n.
+equal; both have closed forms.
 """
 
 from __future__ import annotations
@@ -108,15 +108,6 @@ def _vertex_profile(n: int, ratio: float, bottom: np.ndarray, index: int) -> Eig
     return EigenProfile(values=values, condition_ratio=ratio)
 
 
-def _edge_pinned_values(n: int, ratio: float, lam_n: float) -> np.ndarray:
-    """Spectrum with lam_n and ratio*lam_n at the edges and the n-2 interior
-    eigenvalues equal, fixed by the trace (no interior when n == 2)."""
-    lam_mid = (n - (1.0 + ratio) * lam_n) / max(n - 2, 1)
-    values = np.concatenate([[ratio * lam_n], np.full(n - 2, lam_mid), [lam_n]])
-    values[::-1].sort()
-    return values
-
-
 def _max_inverse_sum(n: int, ratio: float) -> tuple[float, EigenProfile]:
     """Maximum of sum(1/lambda_i) over the class; the objective is convex,
     so a vertex attains it."""
@@ -153,7 +144,10 @@ def bound_log_det_C(n: int, condition_ratio: float) -> tuple[float, EigenProfile
     lo = n / (1.0 + ratio * (n - 1))
     hi = n / (n - 1.0 + ratio)
     assert lo - 1e-12 <= lam_n <= hi + 1e-12, "stationary point left its interval"
-    values = _edge_pinned_values(n, ratio, lam_n)
+    # The n-2 interior eigenvalues share what the trace leaves (none at n == 2).
+    lam_mid = (n - (1.0 + ratio) * lam_n) / max(n - 2, 1)
+    values = np.concatenate([[ratio * lam_n], np.full(n - 2, lam_mid), [lam_n]])
+    values[::-1].sort()
     value = float(np.sum(np.log(values)))
     return value, EigenProfile(values=values, condition_ratio=ratio)
 
@@ -162,43 +156,26 @@ def bound_trace_S(n: int, condition_ratio: float) -> TraceShrinkageBounds:
     """Two-sided bounds on trace(S) = sum(1/lambda_i) over the class.
 
     The upper bound reuses the maximizer of the shrinkage bound.  The
-    lower bound's profile holds all interior eigenvalues equal; its
-    objective is convex in lam_n, minimized either at a stationary root of
+    lower bound's profile pins one eigenvalue at each edge and puts the
+    n-2 interior ones at the stationary point sqrt(R) lam_n, with
+    lam_n = n / (1 + R + (n-2) sqrt(R)) always inside its feasible
+    interval; the minimum is then
 
-        (R(n-2)^2 - (1+R)^2) lam^2 + 2n(1+R) lam - n^2 = 0
+        sum(1/lambda_i) = (sqrt(R) + 1/sqrt(R) + n - 2)^2 / n.
 
-    or at an endpoint of the feasible interval, whichever evaluates lowest.
+    At n == 2 the class holds one profile, and both bounds are its value.
     """
     _check_n_ratio(n, condition_ratio, min_n=2)
     ratio = condition_ratio
     upper, upper_profile = _max_inverse_sum(n, ratio)
     if n == 2:
         return TraceShrinkageBounds(upper, upper, upper_profile, upper_profile)
-
-    lo = n / (ratio * (n - 1) + 1.0)
-    hi = n / (ratio + n - 1.0)
-    a = ratio * (n - 2) ** 2 - (1.0 + ratio) ** 2
-    candidates = [lo, hi]
-    if abs(a) < 1e-12:
-        # Degenerate leading coefficient: the stationary equation is linear.
-        candidates.append(n / (2.0 * (1.0 + ratio)))
-    else:
-        b = 2.0 * n * (1.0 + ratio)
-        sq = 2.0 * n * (n - 2) * math.sqrt(ratio)
-        candidates.extend([(-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)])
-
-    best_value = math.inf
-    best_values = None
-    for lam_n in candidates:
-        if not lo - 1e-12 <= lam_n <= hi + 1e-12:
-            continue
-        values = _edge_pinned_values(n, ratio, min(max(lam_n, lo), hi))
-        value = float(np.sum(1.0 / values))
-        if value < best_value:
-            best_value = value
-            best_values = values
-    lower_profile = EigenProfile(values=best_values, condition_ratio=ratio)
-    return TraceShrinkageBounds(best_value, upper, lower_profile, upper_profile)
+    root = math.sqrt(ratio)
+    lam_n = n / (1.0 + ratio + (n - 2) * root)
+    values = np.concatenate([[ratio * lam_n], np.full(n - 2, root * lam_n), [lam_n]])
+    lower = (root + 1.0 / root + n - 2) ** 2 / n
+    lower_profile = EigenProfile(values=values, condition_ratio=ratio)
+    return TraceShrinkageBounds(lower, upper, lower_profile, upper_profile)
 
 
 def bound_kl_joint(n: int, condition_ratio: float) -> tuple[float, EigenProfile]:

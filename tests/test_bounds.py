@@ -254,6 +254,13 @@ def test_envelope_sweep_rejects_bad_grids():
 @example(n=3, ratio=1.0000000001017464)
 @example(n=4, ratio=1.0000000001035232)
 @example(n=5, ratio=1.0 + 2.5e-10)
+# Very large ratios: the trace lower bound's profile spans R orders of
+# magnitude, and (1 + R)^2 would overflow from R of about 1.3e154.
+@example(n=23, ratio=1.4675815373986703e18)
+@example(n=3, ratio=1e20)
+@example(n=1000, ratio=1e20)
+@example(n=3, ratio=1e40)
+@example(n=5, ratio=1e160)
 def test_report_invariants_property(n, ratio):
     report = bounds_report(n, ratio)
     assert isinstance(report, BoundsReport)
