@@ -72,8 +72,8 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
-_FAMILIES = "analyze sweep bounds"
-_ALL = _FAMILIES + " mixture"
+_GAUSSIAN = "analyze sweep bounds"
+_ALL = _GAUSSIAN + " mixture"
 _FORMATS = ("csv", "json-lines")
 _encode_string = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -96,7 +96,7 @@ class _Key(NamedTuple):
 
 # Flags appear in each subcommand's help in this order, then --config.
 _KEYS = {
-    "n": _Key(int, {**_on(_FAMILIES), "mixture": 2}, flag=True),
+    "n": _Key(int, {**_on(_GAUSSIAN), "mixture": 2}, flag=True),
     "eps": _Key(float, _on("analyze"), flag=True, help="constant off-diagonal value"),
     "rho": _Key(float, _on("analyze"), flag=True, help="kernel length scale"),
     "matrix_file": _Key(str, _on("analyze"), flag=True, help="covariance file (n, then n rows)"),
@@ -109,9 +109,9 @@ _KEYS = {
     "seed": _Key(int, _on(_ALL, 0), flag=True, help="PRNG seed (unsigned 64-bit)"),
     "out": _Key(str, _on(_ALL, "-"), flag=True, help="output path, '-' for stdout"),
     "format": _Key(str, _on(_ALL, "csv"), flag=True, choices=_FORMATS),
-    "domain_upper": _Key(float, _on(_FAMILIES, 200.0)),
-    "jitter": _Key(float, _on(_FAMILIES, 1e-8)),
-    # Optimizer settings: config file only, OptimizerConfig's defaults.
+    "domain_upper": _Key(float, _on(_GAUSSIAN, 200.0)),
+    "jitter": _Key(float, _on(_GAUSSIAN, 1e-8)),
+    # Optimizer settings, config file only; unset ones keep OptimizerConfig's defaults.
     "learning_rate": _Key(float, _on("mixture")),
     "mc_samples": _Key(int, _on("mixture")),
     "max_steps": _Key(int, _on("mixture")),

@@ -142,11 +142,12 @@ def test_density_batch_matches_single_point():
             ]
         )
         values, grads = mixture_log_density_fn(target)(batch)
-        assert np.allclose(values, expected, rtol=1e-12)
-        assert np.allclose(grads, expected_grads, rtol=1e-12)
+        assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(grads, expected_grads, rtol=1e-12, atol=1e-12)
         for i, z in enumerate(batch):
             assert mixture_log_density(target, z) == pytest.approx(expected[i], rel=1e-12)
-            assert np.allclose(mixture_log_density_grad(target, z), expected_grads[i], rtol=1e-12)
+            grad = mixture_log_density_grad(target, z)
+            assert np.allclose(grad, expected_grads[i], rtol=1e-12, atol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
