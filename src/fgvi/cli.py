@@ -75,6 +75,8 @@ def _parse_float_list(text: str) -> list[float]:
 _GAUSSIAN = "analyze sweep bounds"
 _ALL = _GAUSSIAN + " mixture"
 _FORMATS = ("csv", "json-lines")
+# A CSV metadata line ends at its newline: write \, CR and LF as \\, \r, \n.
+_METADATA_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
 _encode_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
@@ -202,7 +204,7 @@ def write_table(stream, fmt: str, metadata: dict, columns: list[str], rows: list
     """Emit one table with a leading metadata record."""
     if fmt == "csv":
         for key, value in metadata.items():
-            stream.write(f"# {key}={_text(value)}\n")
+            stream.write(f"# {key}={_text(value).translate(_METADATA_ESCAPES)}\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .gaussian import (
     LOG_TWO_PI_E,
@@ -30,7 +29,7 @@ from .gaussian import (
     fgvi_solve,
     shrinkage_matrix,
 )
-from .linalg import log_det_from_cholesky
+from .linalg import log_det_from_cholesky, lower_inverse
 
 __all__ = [
     "MixtureTarget",
@@ -51,6 +50,8 @@ __all__ = [
 ]
 
 LogDensityFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# A fit draws its noise in blocks of up to one window of steps and 2^17 values.
+_NOISE_BLOCK_VALUES = 2**17
 
 
 class DivergenceError(RuntimeError):
@@ -103,16 +104,6 @@ class MixtureTarget:
         return self.means.shape[0]
 
 
-def _component_log_terms(target: MixtureTarget, z: np.ndarray) -> np.ndarray:
-    """log w_k + log N(z | mu_k, sigma^2 I) for a batch, shape (batch, K)."""
-    var = target.component_variance
-    n = target.n
-    diff = z[:, None, :] - target.means[None, :, :]
-    sq = np.sum(diff * diff, axis=2)
-    log_norm = -0.5 * n * (math.log(2.0 * math.pi) + math.log(var))
-    return np.log(target.weights)[None, :] + log_norm - 0.5 * sq / var
-
-
 def _log_density_at(target: MixtureTarget, z: np.ndarray) -> tuple:
     """(log p, gradient) at one point (n,) or a batch (m, n) of points."""
     z = np.asarray(z, dtype=float)
@@ -136,34 +127,44 @@ def mixture_log_density_grad(target: MixtureTarget, z: np.ndarray) -> np.ndarray
 
 
 def mixture_log_density_fn(target: MixtureTarget) -> LogDensityFn:
-    """Batched (values, gradients) callable sharing one responsibility pass."""
+    """Batched (values, gradients) callable sharing one responsibility pass.
+
+    log w_k + log N(z | mu_k, sigma^2 I) has its constant part, log w_k
+    plus the normalizer, formed once here.
+    """
+    means, var = target.means, target.component_variance
+    log_norm = -0.5 * target.n * (math.log(2.0 * math.pi) + math.log(var))
+    log_weights = np.log(target.weights) + log_norm
 
     def fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        terms = _component_log_terms(target, z)
-        top = np.max(terms, axis=1)
+        diff = z[:, None, :] - means
+        terms = log_weights - 0.5 * (diff * diff).sum(axis=2) / var
+        top = terms.max(axis=1)
         weights = np.exp(terms - top[:, None])
-        total = np.sum(weights, axis=1)
-        values = top + np.log(total)
+        total = weights.sum(axis=1)
         resp = weights / total[:, None]
-        pull = target.means[None, :, :] - z[:, None, :]
-        grads = np.sum(resp[:, :, None] * pull, axis=1) / target.component_variance
-        return values, grads
+        # The pull toward component k is mu_k - z = -diff, exactly.
+        grads = -(resp[:, :, None] * diff).sum(axis=1) / var
+        return top + np.log(total), grads
 
     return fn
 
 
 def gaussian_log_density_fn(target: GaussianTarget) -> LogDensityFn:
-    """Batched (values, gradients) callable for a dense Gaussian target."""
+    """Batched (values, gradients) callable for a dense Gaussian target.
+
+    Forms the whitening matrix W = L^-1 of the covariance factor L once; a
+    call is then half = (z - mean) W^T, log p from the squared norm of half,
+    and the gradient -Sigma^-1 (z - mean) = -half W.
+    """
     lower = target.cholesky_lower
-    log_det = log_det_from_cholesky(lower)
-    norm = -0.5 * (target.n * math.log(2.0 * math.pi) + log_det)
+    whiten = lower_inverse(lower)
+    norm = -0.5 * (target.n * math.log(2.0 * math.pi) + log_det_from_cholesky(lower))
+    mean = target.mean
 
     def fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        diff = z - target.mean[None, :]
-        half = solve_triangular(lower, diff.T, lower=True, check_finite=False)
-        values = norm - 0.5 * np.sum(half * half, axis=0)
-        grads = -solve_triangular(lower.T, half, lower=False, check_finite=False).T
-        return values, grads
+        half = (z - mean) @ whiten.T
+        return norm - 0.5 * (half * half).sum(axis=1), -half @ whiten
 
     return fn
 
@@ -272,13 +273,10 @@ def elbo_sample_terms(
     averages over the sample axis are unbiased for the ELBO and its
     gradient.
     """
-    scales = np.exp(log_std)
-    z = mean[None, :] + scales[None, :] * noise
-    values, grads = log_density(z)
-    entropy = float(np.sum(log_std)) + 0.5 * mean.size * LOG_TWO_PI_E
-    elbo_samples = values + entropy
-    grad_log_std = grads * (scales[None, :] * noise) + 1.0
-    return elbo_samples, grads, grad_log_std
+    offsets = np.exp(log_std) * noise
+    values, grads = log_density(mean + offsets)
+    entropy = float(log_std.sum()) + 0.5 * mean.size * LOG_TWO_PI_E
+    return values + entropy, grads, grads * offsets + 1.0
 
 
 def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None = None) -> VariationalState:
@@ -294,7 +292,10 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     collapsing.
     Optimization stops when the relative change between consecutive
     trailing-window ELBO averages falls below ``tolerance``, or at
-    ``max_steps``.
+    ``max_steps``.  The noise is drawn one window at a time (in smaller
+    blocks when a window would exceed 2^17 values), as one
+    (steps, mc_samples, n) array from the seeded generator; that is the
+    same stream, value for value, as one (mc_samples, n) draw per step.
 
     A constant-step stochastic optimizer never sits still: it hovers around
     the optimum with jitter set by the step size and gradient noise.  The
@@ -313,73 +314,63 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
 
     rng = np.random.default_rng(config.seed)
     if config.init_mean is not None:
-        mean = np.array(config.init_mean, dtype=float)
-        if mean.shape != (n,) or not np.all(np.isfinite(mean)):
+        init_mean = np.array(config.init_mean, dtype=float)
+        if init_mean.shape != (n,) or not np.all(np.isfinite(init_mean)):
             raise ValueError(f"init_mean must be a finite vector of length {n}")
     else:
-        mean = config.init_jitter * rng.standard_normal(n)
-    log_std = np.zeros(n)
+        init_mean = config.init_jitter * rng.standard_normal(n)
+    # mean and log_std (starting at zero) are views of one parameter vector.
+    params = np.concatenate([init_mean, np.zeros(n)])
+    mean, log_std = params[:n], params[n:]
 
     init_values, _ = log_density(mean[None, :])
     if not np.all(np.isfinite(init_values)):
         raise ValueError("log-density is not finite at the initialization point")
 
-    first_moment = np.zeros(2 * n)
-    second_moment = np.zeros(2 * n)
-    averaged = np.zeros(2 * n)
+    learning_rate, epsilon = config.learning_rate, config.adam_epsilon
+    beta1, beta2, decay = config.beta1, config.beta2, config.average_decay
+    samples, window, max_steps = config.mc_samples, config.window, config.max_steps
+    block = max(1, min(window, _NOISE_BLOCK_VALUES // (samples * n)))
+    first_moment, second_moment, averaged = np.zeros((3, 2 * n))
     trace: list[tuple[int, float]] = []
-    elbo_values = np.empty(config.max_steps)
+    elbo_values = np.empty(max_steps)
     previous_window: float | None = None
-    steps_taken = 0
 
-    for step in range(1, config.max_steps + 1):
-        noise = rng.standard_normal((config.mc_samples, n))
-        # Overflow here is a detected failure mode, not a warning condition:
-        # the finiteness check below turns it into DivergenceError.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow here is a detected failure mode, not a warning condition:
+    # the finiteness check below turns it into DivergenceError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, max_steps + 1):
+            offset = (step - 1) % block
+            if offset == 0:
+                noise = rng.standard_normal((min(block, max_steps - step + 1), samples, n))
             elbo_samples, grad_mean, grad_log_std = elbo_sample_terms(
-                log_density, mean, log_std, noise
+                log_density, mean, log_std, noise[offset]
             )
-            elbo = float(np.mean(elbo_samples))
-        if not math.isfinite(elbo):
-            state = VariationalState(
-                mean=mean, log_std=log_std, step_count=step, elbo_trace=tuple(trace)
-            )
-            raise DivergenceError(
-                f"ELBO became non-finite at step {step}", step=step, state=state
-            )
-        trace.append((step, elbo))
-        elbo_values[step - 1] = elbo
-        steps_taken = step
+            elbo = float(elbo_samples.sum() / samples)
+            if not math.isfinite(elbo):
+                state = VariationalState(mean.copy(), log_std.copy(), step, tuple(trace))
+                raise DivergenceError(f"ELBO became non-finite at step {step}", step, state)
+            trace.append((step, elbo))
+            elbo_values[step - 1] = elbo
 
-        gradient = np.concatenate([
-            np.mean(grad_mean, axis=0),
-            np.mean(grad_log_std, axis=0),
-        ])
-        first_moment = config.beta1 * first_moment + (1.0 - config.beta1) * gradient
-        second_moment = config.beta2 * second_moment + (1.0 - config.beta2) * gradient**2
-        hat_first = first_moment / (1.0 - config.beta1**step)
-        hat_second = second_moment / (1.0 - config.beta2**step)
-        update = config.learning_rate * hat_first / (np.sqrt(hat_second) + config.adam_epsilon)
-        mean = mean + update[:n]
-        log_std = log_std + update[n:]
-        averaged = config.average_decay * averaged + (1.0 - config.average_decay) * np.concatenate(
-            [mean, log_std]
-        )
+            gradient = np.concatenate([grad_mean.sum(axis=0), grad_log_std.sum(axis=0)]) / samples
+            first_moment = beta1 * first_moment + (1.0 - beta1) * gradient
+            second_moment = beta2 * second_moment + (1.0 - beta2) * (gradient * gradient)
+            hat_first = first_moment / (1.0 - beta1**step)
+            hat_second = second_moment / (1.0 - beta2**step)
+            params += learning_rate * hat_first / (np.sqrt(hat_second) + epsilon)
+            averaged = decay * averaged + (1.0 - decay) * params
 
-        if step % config.window == 0:
-            window_mean = float(np.mean(elbo_values[step - config.window: step]))
-            if previous_window is not None:
-                change = abs(window_mean - previous_window)
-                if change <= config.tolerance * max(1.0, abs(previous_window)):
-                    break
-            previous_window = window_mean
+            if step % window == 0:
+                window_mean = float(elbo_values[step - window: step].sum() / window)
+                if previous_window is not None:
+                    change = abs(window_mean - previous_window)
+                    if change <= config.tolerance * max(1.0, abs(previous_window)):
+                        break
+                previous_window = window_mean
 
-    averaged = averaged / (1.0 - config.average_decay**steps_taken)
-    mean, log_std = averaged[:n], averaged[n:]
-    return VariationalState(
-        mean=mean, log_std=log_std, step_count=steps_taken, elbo_trace=tuple(trace)
-    )
+    averaged = averaged / (1.0 - decay**step)
+    return VariationalState(averaged[:n], averaged[n:], step, tuple(trace))
 
 
 class ShrinkageComparison(NamedTuple):

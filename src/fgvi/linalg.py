@@ -62,13 +62,19 @@ def log_det_from_cholesky(lower: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
+def lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """L⁻¹ of a lower-triangular factor, by LAPACK ``trtri``."""
+    inverse, info = lapack.dtrtri(lower, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"factor is singular: zero pivot at column {info - 1}")
+    return inverse
+
+
 def inverse_diagonal(lower: np.ndarray) -> np.ndarray:
     """Diagonal of A⁻¹ from the lower Cholesky factor of A.
 
     (A⁻¹)_ii = ‖L⁻¹ e_i‖², the column sums of squares of the triangular
     inverse of the factor.
     """
-    inverse, info = lapack.dtrtri(lower, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"factor is singular: zero pivot at column {info - 1}")
+    inverse = lower_inverse(lower)
     return np.einsum("ij,ij->j", inverse, inverse)

@@ -1,8 +1,11 @@
 """Shared corpus builders plus the acceptance-summary hook."""
 
 import numpy as np
+import pytest
 
+from fgvi.engine import OptimizerConfig, fit_fgvi, gaussian_log_density_fn
 from fgvi.gaussian import GaussianTarget
+from fgvi.generators import ConstantOffDiagConfig, constant_offdiag_target
 
 import acceptance_log
 
@@ -42,3 +45,13 @@ def target_corpus(n: int, count: int, base_seed: int = 0) -> list[GaussianTarget
     """Deterministic list of random targets; the seed folds in n."""
     rng = np.random.default_rng(base_seed * 1_000_003 + n)
     return [random_spd_target(n, rng) for _ in range(count)]
+
+
+@pytest.fixture(scope="session")
+def correlated_fits():
+    """Default-settings fits of the eps = 0.5, n = 5 Gaussian target at
+    seeds 0-4, shared by criterion 8 and the engine tests."""
+    target = constant_offdiag_target(ConstantOffDiagConfig(n=5, eps=0.5))
+    density = gaussian_log_density_fn(target)
+    states = [fit_fgvi(density, 5, OptimizerConfig(seed=seed)) for seed in range(5)]
+    return target, states

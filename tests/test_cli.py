@@ -313,6 +313,22 @@ def test_json_lines_structure(tmp_path, capsys):
     assert isinstance(gap, float)
 
 
+def test_csv_metadata_escapes_line_breaks(tmp_path, capsys):
+    out_path = str(tmp_path / "a\nb\r c \\ d.csv")
+    code, out = run_cli("analyze", "--n", "2", "--eps", "0.5", "--out", out_path, capsys=capsys)
+    assert code == 0
+    assert out == ""
+    lines = Path(out_path).read_bytes().decode("utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    assert header > 0 and lines[header] == "section,name,i,j,value"
+    meta = dict(line[2:].split("=", 1) for line in lines[:header])
+    assert meta["config.out"] == out_path.replace("\\", "\\\\").replace("\r", "\\r").replace(
+        "\n", "\\n"
+    )
+    _, stdout = run_cli("analyze", "--n", "2", "--eps", "0.5", capsys=capsys)
+    assert lines[header:] == stdout.splitlines()[header:]
+
+
 def test_seventeen_digit_round_trip(capsys):
     _, out = run_cli("analyze", "--n", "7", "--eps", "0.37", capsys=capsys)
     _, records = parse_csv(out)

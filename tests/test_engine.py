@@ -1,11 +1,13 @@
 """Stochastic ELBO ascent: estimator correctness, recovery, mode collapse."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import linalg, special, stats
 
+from fgvi import engine
 from fgvi.engine import (
     DivergenceError,
     MixtureTarget,
@@ -23,7 +25,12 @@ from fgvi.engine import (
     shrinkage_comparison,
 )
 from fgvi.gaussian import GaussianTarget, decompose, fgvi_solve
-from fgvi.generators import ConstantOffDiagConfig, constant_offdiag_target
+from fgvi.generators import (
+    ConstantOffDiagConfig,
+    KernelConfig,
+    constant_offdiag_target,
+    squared_exponential_target,
+)
 
 from conftest import random_spd_target
 
@@ -35,17 +42,6 @@ def _default_mixture(separation=10.0, n=2):
     return MixtureTarget(
         weights=np.array([0.5, 0.5]), means=means, component_variance=1.0
     )
-
-
-@pytest.fixture(scope="module")
-def correlated_suite():
-    """Five seeded fits of the eps = 0.5, n = 5 Gaussian target."""
-    target = constant_offdiag_target(ConstantOffDiagConfig(n=5, eps=0.5))
-    density = gaussian_log_density_fn(target)
-    states = [
-        fit_fgvi(density, 5, OptimizerConfig(seed=seed)) for seed in range(5)
-    ]
-    return target, states
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +220,27 @@ def test_gaussian_density_fn_matches_scipy():
     expected_grads = (target.mean[None, :] - points) @ precision
     assert np.allclose(grads, expected_grads, rtol=1e-9, atol=1e-12)
 
+    # Ill-conditioned: against triangular solves with the covariance factor,
+    # at points off the target and at points drawn from it, which load the
+    # near-null directions.
+    n = 12
+    target = squared_exponential_target(KernelConfig(n=n, rho=40.0, seed=0))
+    kappa = np.linalg.cond(target.covariance)
+    assert 5e7 < kappa < 5e8
+    tolerance = max(1e-9, n * kappa * 2.0**-52)
+    lower = target.cholesky_lower
+    norm = -0.5 * (n * math.log(2.0 * math.pi) + 2.0 * np.sum(np.log(np.diag(lower))))
+    noise = np.random.default_rng(19).normal(size=(n, n))
+    density = gaussian_log_density_fn(target)
+    for points in (noise, target.mean + noise @ lower.T):
+        values, grads = density(points)
+        half = linalg.solve_triangular(lower, (points - target.mean).T, lower=True)
+        expected = norm - 0.5 * np.sum(half * half, axis=0)
+        expected_grads = -linalg.solve_triangular(lower.T, half, lower=False).T
+        assert np.all(np.abs(values - expected) <= tolerance * np.abs(expected))
+        scale = np.max(np.abs(expected_grads), axis=1)
+        assert np.all(np.max(np.abs(grads - expected_grads), axis=1) <= tolerance * scale)
+
 
 def test_gradient_estimator_is_unbiased():
     """Sampled gradient mean within 3 standard errors of the exact one."""
@@ -274,8 +291,8 @@ def test_standard_normal_recovery():
         assert np.all(np.abs(state.mean) < 0.05)
 
 
-def test_correlated_recovery_within_five_percent(correlated_suite):
-    target, states = correlated_suite
+def test_correlated_recovery_within_five_percent(correlated_fits):
+    target, states = correlated_fits
     oracle = fgvi_solve(target).variances
     for state in states:
         relative = np.abs(state.variances - oracle) / oracle
@@ -283,8 +300,8 @@ def test_correlated_recovery_within_five_percent(correlated_suite):
         assert np.all(np.abs(state.mean) < 0.05)
 
 
-def test_elbo_trace_window_means_nondecreasing(correlated_suite):
-    _, states = correlated_suite
+def test_elbo_trace_window_means_nondecreasing(correlated_fits):
+    _, states = correlated_fits
     window = OptimizerConfig().window
     for state in states:
         values = np.array([value for _, value in state.elbo_trace])
@@ -296,8 +313,8 @@ def test_elbo_trace_window_means_nondecreasing(correlated_suite):
             assert means[j] >= means[j - 1] - stds[j - 1]
 
 
-def test_trace_steps_strictly_increasing(correlated_suite):
-    _, states = correlated_suite
+def test_trace_steps_strictly_increasing(correlated_fits):
+    _, states = correlated_fits
     for state in states:
         steps = [step for step, _ in state.elbo_trace]
         assert steps == list(range(1, len(steps) + 1))
@@ -313,6 +330,91 @@ def test_fit_is_deterministic():
     assert np.array_equal(first.mean, second.mean)
     assert np.array_equal(first.log_std, second.log_std)
     assert first.elbo_trace == second.elbo_trace
+
+
+def _pinned_cases():
+    """(density, n, init_mean) for the three pinned fit paths."""
+    gaussian = constant_offdiag_target(ConstantOffDiagConfig(n=5, eps=0.5))
+    cases = {"gauss5": (gaussian_log_density_fn(gaussian), 5, None)}
+    for name, n in (("mix2", 2), ("mix8", 8)):
+        target = _default_mixture(n=n)
+        cases[name] = (mixture_log_density_fn(target), n, mixture_init_mean(target, 0))
+    return cases
+
+
+# float.hex of (mean, log_std) and of the ELBO trace at steps 1, 200 and 600
+# after a seed-0 fit with max_steps=600, recorded before the per-step cost
+# of fit_fgvi was cut; that change must not move the optimization path.
+PINNED_FITS = {
+    "mix2": (
+        ["0x1.3f303817556c7p+2", "0x1.2f5e8aac64ad8p-5"],
+        ["-0x1.2a0bb60c63d25p-10", "0x1.149ca3551da37p-9"],
+        ["-0x1.665f7ed16987ep-1", "-0x1.42d61c114c013p-1", "-0x1.0c9aabdf8bc3cp+0"],
+    ),
+    "mix8": (
+        ["0x1.3f2c86c9f06b7p+2", "0x1.6536367da2a49p-5", "0x1.da813bccb91d0p-9",
+         "-0x1.b79e42f6b942ep-6", "0x1.b61389abe6d72p-8", "0x1.52df08502f17bp-3",
+         "0x1.2e19a4431aadbp-4", "-0x1.31e4ede26843cp-5"],
+        ["0x1.ff45df99d7408p-9", "0x1.fb8609a269866p-8", "-0x1.9dfd48e336e1ap-8",
+         "-0x1.86b07360a72d9p-8", "-0x1.bec7160e3f5c4p-7", "-0x1.60ea452f71098p-10",
+         "0x1.dab29f50d431ap-11", "-0x1.21180218ebf0cp-8"],
+        ["-0x1.02b01c59acb0dp+1", "0x1.f5cb0d753cf00p-6", "-0x1.c0deae77bc6cbp-1"],
+    ),
+    "gauss5": (
+        ["-0x1.5e5af02cb0aabp-8", "-0x1.3cc236240875cp-8", "0x1.3b937c3ce08c9p-7",
+         "-0x1.fec1bfd1bfd74p-12", "-0x1.0cf54c8f08345p-6"],
+        ["-0x1.fa6799b3f9009p-3", "-0x1.ec605a50736cfp-3", "-0x1.e80b64ba73d02p-3",
+         "-0x1.e00eeac7d9ce4p-3", "-0x1.f361adaa1653fp-3"],
+        ["0x1.0931a13001260p-3", "0x1.b00a6efdec39dp-2", "0x1.298175a1d8760p-4"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FITS))
+def test_fit_path_is_pinned(name):
+    """Mixture fits match the recorded path bit for bit; the Gaussian one,
+    whose density may round differently, within 1e-12."""
+    density, n, init_mean = _pinned_cases()[name]
+    state = fit_fgvi(density, n, OptimizerConfig(seed=0, max_steps=600, init_mean=init_mean))
+    mean, log_std, trace = (
+        np.array([float.fromhex(h) for h in hexes]) for hexes in PINNED_FITS[name]
+    )
+    assert state.step_count == 600
+    assert [step for step, _ in state.elbo_trace] == list(range(1, 601))
+    got_trace = np.array([state.elbo_trace[step - 1][1] for step in (1, 200, 600)])
+    tolerance = 0.0 if name.startswith("mix") else 1e-12
+    assert np.max(np.abs(state.mean - mean)) <= tolerance
+    assert np.max(np.abs(state.log_std - log_std)) <= tolerance
+    assert np.max(np.abs(got_trace - trace)) <= tolerance
+
+
+def test_noise_blocks_do_not_move_the_fit(monkeypatch):
+    """Noise drawn 7 steps at a time gives the fit drawn a window at a time."""
+    density, n, init_mean = _pinned_cases()["mix8"]
+    config = OptimizerConfig(seed=0, max_steps=450, init_mean=init_mean)
+    whole = fit_fgvi(density, n, config)
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_VALUES", 7 * config.mc_samples * n)
+    blocks = fit_fgvi(density, n, config)
+    assert np.array_equal(blocks.mean, whole.mean)
+    assert np.array_equal(blocks.log_std, whole.log_std)
+    assert blocks.elbo_trace == whole.elbo_trace
+
+
+@pytest.mark.parametrize("learning_rate", [1e3, 1e6])
+@pytest.mark.parametrize("name", sorted(PINNED_FITS))
+def test_divergence_is_silent_and_immediate(name, learning_rate):
+    """A huge first step overflows exp(log_std); the fit reports that as
+    DivergenceError at step 2 and lets no RuntimeWarning escape."""
+    density, n, init_mean = _pinned_cases()[name]
+    config = OptimizerConfig(
+        seed=0, learning_rate=learning_rate, max_steps=100, init_mean=init_mean
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            fit_fgvi(density, n, config)
+    assert info.value.step == 2
+    assert len(info.value.state.elbo_trace) == 1
 
 
 def test_mode_collapse(collapse_fit):
