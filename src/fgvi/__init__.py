@@ -41,6 +41,7 @@ from .gaussian import (
     DecompositionReport,
     FactorizedGaussian,
     GaussianTarget,
+    IndefiniteError,
     ShrinkageMatrix,
     constant_offdiag_closed_forms,
     correlation_from_covariance,
@@ -80,6 +81,7 @@ __all__ = [
     "constant_offdiag_closed_forms",
     "reverse_kl_asymptote",
     "ConditioningError",
+    "IndefiniteError",
     # generators
     "KernelConfig",
     "ConstantOffDiagConfig",

@@ -75,8 +75,12 @@ def _parse_float_list(text: str) -> list[float]:
 _GAUSSIAN = "analyze sweep bounds"
 _ALL = _GAUSSIAN + " mixture"
 _FORMATS = ("csv", "json-lines")
-# A CSV metadata line ends at its newline: write \, CR and LF as \\, \r, \n.
-_METADATA_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
+# Lines must survive str.splitlines(): CSV metadata writes \ and each line break
+# it splits at as unicode_escape does, JSON strings the three json leaves raw as \u.
+_METADATA_ESCAPES = str.maketrans(
+    {c: c.encode("unicode_escape").decode() for c in "\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+_JSON_ESCAPES = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"})
 _encode_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
@@ -193,7 +197,7 @@ def _json(value) -> str:
         return "[" + ", ".join(_json(v) for v in value) + "]"
     if isinstance(value, (bool, int, float, np.number)):
         return _text(value)
-    return _encode_string(str(value))
+    return _encode_string(str(value)).translate(_JSON_ESCAPES)
 
 
 def _json_line(record: dict) -> str:

@@ -49,6 +49,7 @@ __all__ = [
     "constant_offdiag_closed_forms",
     "reverse_kl_asymptote",
     "ConditioningError",
+    "IndefiniteError",
 ]
 
 LOG_TWO_PI_E = math.log(2.0 * math.pi) + 1.0
@@ -222,6 +223,14 @@ class ShrinkageMatrix:
         return float(np.sum(np.log(self.diagonal)))
 
 
+class IndefiniteError(ArithmeticError):
+    """C passed its pivot test, but its smallest computed eigenvalue is not positive."""
+
+    def __init__(self, eigenvalue: float):
+        super().__init__(f"smallest correlation eigenvalue {eigenvalue:.6e} is not positive")
+        self.eigenvalue = eigenvalue
+
+
 _GAP_IDENTITY_ATOL = 1e-9
 _LOG_DET_S_FLOOR = -1e-10
 _LOG_DET_C_CEIL = 1e-10
@@ -342,7 +351,7 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     with the trace accumulated coordinatewise, so that agreement between
     the gap and the KL is a real numerical cross-check rather than a
     restatement.  The condition number is the extreme-eigenvalue ratio of
-    the correlation matrix.
+    C; IndefiniteError if the smallest eigenvalue is not positive.
     """
     n = target.n
     sigma_diag = np.diag(target.covariance)
@@ -364,6 +373,8 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     kl = 0.5 * (trace_term - (log_det_psi - log_det_sigma) - n)
 
     eigvals = np.linalg.eigvalsh(correlation_from_covariance(target).entries)
+    if not eigvals[0] > 0.0:
+        raise IndefiniteError(float(eigvals[0]))
     condition = float(eigvals[-1] / eigvals[0])
 
     return DecompositionReport(

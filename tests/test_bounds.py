@@ -1,6 +1,7 @@
 """Condition-number envelopes against brute-force search."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -88,6 +89,9 @@ def test_domain_errors():
         bound_trace_S(3, -1.0)
     with pytest.raises(ValueError):
         bound_kl_joint(1, 2.0)
+    for ratio in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            bounds_report(3, ratio)
 
 
 # ------------------------------------------------------ frozen hand values
@@ -261,6 +265,10 @@ def test_envelope_sweep_rejects_bad_grids():
 @example(n=1000, ratio=1e20)
 @example(n=3, ratio=1e40)
 @example(n=5, ratio=1e160)
+# At the top of double range, where j R would overflow; BoundsReport
+# raises if any bound is not finite.
+@example(n=5, ratio=1e308)
+@example(n=2, ratio=1.7e308)
 def test_report_invariants_property(n, ratio):
     report = bounds_report(n, ratio)
     assert isinstance(report, BoundsReport)
@@ -270,3 +278,72 @@ def test_report_invariants_property(n, ratio):
     assert report.joint_kl_upper <= report.separate_kl_upper + 1e-9
     for profile in report.maximizers.values():
         _assert_profile_feasible(profile, n, ratio)
+
+
+# ------------------------------------------- closed forms against vertex scans
+
+
+def _vertex_scan(n: int, ratio: float) -> tuple[float, float]:
+    """(max sum(1/lambda), max joint gap) over the n-1 two-level vertices,
+    in the form bounds.py evaluated before it had closed forms: j
+    eigenvalues at ratio * lam_n, n-j at lam_n = n / (j ratio + n - j)."""
+    j = np.arange(1, n)
+    bottom = n / (j * ratio + (n - j))
+    inverse_sum = n + (ratio - 1.0) * ((ratio - 1.0) / ratio) * (j * (n - j) / n)
+    log_sum = j * math.log(ratio) + n * np.log(bottom)
+    gaps = 0.5 * (n * np.log(inverse_sum / n) + log_sum)
+    return float(inverse_sum.max()), float(gaps.max())
+
+
+def _joint_gap_60_digits(n: int, ratio: float) -> Decimal:
+    """max_j g(j), g(j) = (n ln(1 - (j/n)(R-1)/R) + j ln R) / 2, in 60-digit
+    decimal arithmetic from the exact binary value of R.  g is concave, so
+    the integers around its stationary point n (R/(R-1) - 1/ln R) hold the
+    maximum."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = Decimal(ratio)
+        shrink, log_r = (r - 1) / r, r.ln()
+        stationary = int(n * (1 / shrink - 1 / log_r))
+        candidates = range(max(1, stationary - 1), min(n - 1, stationary + 2) + 1)
+        return max((n * (1 - j * shrink / n).ln() + j * log_r) / 2 for j in candidates)
+
+
+def _seeded_points(count: int, seed: int) -> list[tuple[int, float]]:
+    """n up to 3000 and R up to 1e12, one point in ten within 1e-8..1 of 1."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(count):
+        n = int(rng.integers(2, 3001)) if k % 2 else int(rng.integers(2, 60))
+        exponent = rng.uniform(-8.0, 0.0) if k % 10 == 0 else rng.uniform(0.0, 12.0)
+        points.append((n, float(1.0 + 10.0**exponent if k % 10 == 0 else 10.0**exponent)))
+    return points
+
+
+def test_closed_forms_match_vertex_scan():
+    for n, ratio in _seeded_points(300, seed=11):
+        report = bounds_report(n, ratio)
+        max_inverse_sum, max_gap = _vertex_scan(n, ratio)
+        assert report.upper_trace_S == max_inverse_sum, (n, ratio)
+        # Near R = 1 the scan's own rounding error is about 2e-13 absolute.
+        assert report.joint_kl_upper == pytest.approx(max_gap, rel=1e-12, abs=1e-12), (n, ratio)
+
+
+def test_joint_bound_no_less_accurate_than_vertex_scan():
+    worst_closed = worst_scan = 0.0
+    for n, ratio in _seeded_points(200, seed=12):
+        exact = _joint_gap_60_digits(n, ratio)
+        closed, _ = bound_kl_joint(n, ratio)
+        error = abs((Decimal(closed) - exact) / exact)
+        if ratio >= 2.0:
+            assert error <= Decimal("1e-13"), (n, ratio, error)
+        worst_closed = max(worst_closed, float(error))
+        worst_scan = max(worst_scan, float(abs((Decimal(_vertex_scan(n, ratio)[1]) - exact) / exact)))
+    assert worst_closed <= worst_scan
+
+
+def test_bounds_past_double_range_raise_overflow():
+    # upper_trace_S is about n R / 4, past the largest double here.
+    for n, ratio in ((100, 1e307), (3000, 1e306)):
+        with pytest.raises(OverflowError, match="overflow"):
+            bounds_report(n, ratio)

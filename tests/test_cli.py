@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,29 @@ def test_bounds_unit_ratio_row_is_zero(capsys):
     assert float(row["upper_trace_S"]) == 5.0
 
 
+def test_bounds_past_double_range_exit_numerical(capsys):
+    # upper_trace_S is about n R / 4: finite at (5, 1e308), past the
+    # largest double at the other two.
+    for n, ratio, expected in (("5", "1e308", 0), ("100", "1e307", 3), ("3000", "1e306", 3)):
+        for fmt in ("csv", "json-lines"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["bounds", "--n", n, "--R-grid", ratio, "--format", fmt])
+            out, err = capsys.readouterr()
+            assert code == expected
+            assert caught == []
+            if expected:
+                assert out == ""
+                assert len(err.splitlines()) == 1
+                assert err.startswith("numerical failure: ")
+            else:
+                assert err == ""
+                lines = out.splitlines()
+                row = json.loads(lines[-1]) if fmt == "json-lines" else parse_csv(out)[1][0]
+                for name in ("upper_trace_S", "joint_kl_upper"):
+                    assert math.isfinite(float(row[name]))
+
+
 def test_bounds_requires_n_and_grid():
     assert main(["bounds", "--n", "5"]) == 2
     assert main(["bounds", "--R-grid", "1,2"]) == 2
@@ -327,6 +351,40 @@ def test_csv_metadata_escapes_line_breaks(tmp_path, capsys):
     )
     _, stdout = run_cli("analyze", "--n", "2", "--eps", "0.5", capsys=capsys)
     assert lines[header:] == stdout.splitlines()[header:]
+
+
+# Every boundary at which str.splitlines() breaks a line.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_outputs_survive_splitlines_with_any_line_break(tmp_path, capsys):
+    _, stdout = run_cli("analyze", "--n", "2", "--eps", "0.5", capsys=capsys)
+    _, stdout_json = run_cli(
+        "analyze", "--n", "2", "--eps", "0.5", "--format", "json-lines", capsys=capsys
+    )
+    for char in _LINE_BREAKS:
+        out_path = str(tmp_path / f"a{char}b c.csv")
+        for fmt, reference in (("csv", stdout), ("json-lines", stdout_json)):
+            code, out = run_cli(
+                "analyze", "--n", "2", "--eps", "0.5", "--format", fmt, "--out", out_path,
+                capsys=capsys,
+            )
+            assert code == 0 and out == ""
+            text = Path(out_path).read_bytes().decode("utf-8")
+            lines = text.splitlines()
+            if fmt == "csv":
+                header = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+                assert lines[header] == "section,name,i,j,value", repr(char)
+                meta = dict(line[2:].split("=", 1) for line in lines[:header])
+                assert char == "\n" or char not in text
+                # The escapes are unicode_escape's, so that codec undoes them.
+                assert meta["config.out"].encode().decode("unicode_escape") == out_path
+                assert lines[header:] == reference.splitlines()[header:]
+            else:
+                records = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+                assert [r["record"] for r in records[:2]] == ["metadata", "header"], repr(char)
+                assert records[0]["config.out"] == out_path
+                assert lines[1:] == reference.splitlines()[1:]
 
 
 def test_seventeen_digit_round_trip(capsys):
@@ -496,6 +554,22 @@ def test_numerical_failure_exit_code(tmp_path):
     path = tmp_path / "indefinite.txt"
     path.write_text("2\n1 2\n2 1\n")
     assert main(["analyze", "--matrix-file", str(path)]) == 3
+
+
+def test_non_positive_correlation_eigenvalue_exit_code(tmp_path, capsys):
+    # The pivot test passes, but the smallest computed eigenvalue of C is
+    # negative, so there is no condition number: a numerical failure.
+    config = tmp_path / "unjittered.cfg"
+    config.write_text("jitter = 0\n")
+    code = main([
+        "analyze", "--n", "14", "--rho", "68.10506747159287", "--seed", "404",
+        "--config", str(config),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: smallest correlation eigenvalue")
+    assert len(err.splitlines()) == 1
 
 
 def test_console_script_help():

@@ -14,6 +14,7 @@ from fgvi.gaussian import (
     DecompositionReport,
     FactorizedGaussian,
     GaussianTarget,
+    IndefiniteError,
     constant_offdiag_closed_forms,
     correlation_from_covariance,
     decompose,
@@ -23,7 +24,12 @@ from fgvi.gaussian import (
     reverse_kl_solve,
     shrinkage_matrix,
 )
-from fgvi.generators import ConstantOffDiagConfig, constant_offdiag_target
+from fgvi.generators import (
+    ConstantOffDiagConfig,
+    KernelConfig,
+    constant_offdiag_target,
+    squared_exponential_target,
+)
 from fgvi.linalg import ConditioningError
 
 from conftest import random_spd_target, target_corpus
@@ -269,6 +275,20 @@ def test_gap_equals_kl_on_random_targets():
         assert abs(report.entropy_gap - report.kl_q_p) <= 1e-9 * max(
             1.0, abs(report.kl_q_p)
         )
+
+
+def test_decompose_rejects_non_positive_correlation_eigenvalue():
+    # An unjittered kernel matrix whose factor passes the pivot test but
+    # whose smallest computed eigenvalue is negative: the condition number
+    # would be about -3e16.
+    target = squared_exponential_target(
+        KernelConfig(n=14, rho=68.10506747159287, seed=404, jitter=0.0)
+    )
+    with pytest.raises(IndefiniteError, match="eigenvalue") as info:
+        decompose(target)
+    assert isinstance(info.value, ArithmeticError)
+    assert info.value.eigenvalue <= 0.0
+    assert f"{info.value.eigenvalue:.6e}" in str(info.value)
 
 
 def test_entropy_fields_are_consistent():
