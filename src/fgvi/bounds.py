@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _PROFILE_RTOL = 1e-10
+# The powers m of s = (R-1)/R summed by bound_kl_joint's series near R = 1.
+_SERIES_POWERS = np.arange(2, 21)
 
 
 @dataclass(frozen=True)
@@ -164,14 +166,28 @@ def bound_kl_joint(n: int, condition_ratio: float) -> tuple[float, EigenProfile]
     F lam_n = j/R + n - j and sum(log lambda_i) = j log R + n log lam_n,
     so lam_n cancels and the gap is exactly
 
-        g(j) = (n log1p(-(j/n)(R-1)/R) + j log R) / 2,
+        g(j) = (n log1p(-t s) + j log R) / 2,  t = j/n,  s = (R-1)/R,
 
     concave in j.  Returns the largest g(j) over j = 1..n-1 and its vertex.
+
+    Near R = 1 the two terms of g(j) cancel to O(j (R-1)^2), so for
+    s < 1/8 it is summed instead from the series of -log(1 - u) in
+    s = 1 - 1/R, whose terms are all positive:
+
+        g(j) = j (n-j) / (2n) * sum_k A_k t^k,  A_k = sum_{m >= k+2} s^m / m,
+
+    truncated at m = 20, past which the tail is below 2^-55 relative.
     """
     _check_n_ratio(n, condition_ratio, min_n=2)
     ratio = condition_ratio
+    shrink = (ratio - 1.0) / ratio
     j = np.arange(1, n)
-    gaps = 0.5 * (n * np.log1p(-(j / n) * ((ratio - 1.0) / ratio)) + j * math.log(ratio))
+    if shrink < 0.125:
+        # A_k from the highest k down, the coefficient order polyval takes.
+        tails = np.cumsum((shrink**_SERIES_POWERS / _SERIES_POWERS)[::-1])
+        gaps = 0.5 * (j * (n - j) / n) * np.polyval(tails, j / n)
+    else:
+        gaps = 0.5 * (n * np.log1p(-(j / n) * shrink) + j * math.log(ratio))
     best = int(np.argmax(gaps))
     return float(gaps[best]), _vertex(n, ratio, best + 1)
 

@@ -11,7 +11,8 @@ significant digits, so identical configs produce byte-identical output and
 every value round-trips through text exactly.
 
 Exit codes: 0 success, 1 a validity flag failed, 2 invalid input,
-3 numerical failure (singular input or overflow), 4 optimizer divergence.
+3 numerical failure (singular input, overflow, or a nan or infinite value
+bound for the output), 4 optimizer divergence.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -204,20 +206,52 @@ def _json_line(record: dict) -> str:
     return "{" + ", ".join(f'"{key}": {_json(value)}' for key, value in record.items()) + "}"
 
 
+class NonFiniteOutputError(ArithmeticError):
+    """A float bound for a table is nan or inf; JSON has no token for it."""
+
+
+# Float types by exact type: a set lookup, far cheaper per cell than isinstance.
+_FLOAT_TYPES = frozenset({float, np.float16, np.float32, np.float64, np.longdouble})
+
+
+def _finite(value) -> bool:
+    """False for a nan or infinite float, alone or in a list or tuple."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return type(value) not in _FLOAT_TYPES or bool(np.isfinite(value))
+
+
 def write_table(stream, fmt: str, metadata: dict, columns: list[str], rows: list[dict]) -> None:
-    """Emit one table with a leading metadata record."""
+    """Emit one table with a leading metadata record.
+
+    Raises NonFiniteOutputError, before writing anything, if a metadata
+    value or a float cell is nan or infinite, in either format.
+    """
+    for key, value in metadata.items():
+        if not _finite(value):
+            raise NonFiniteOutputError(f"metadata {key} is not finite: {value}")
+    cells = [[row.get(col) for col in columns] for row in rows]
+    floats = [value for line in cells for value in line if type(value) in _FLOAT_TYPES]
+    if not np.isfinite(floats).all():
+        index, col, value = next(
+            (index, col, value)
+            for index, line in enumerate(cells)
+            for col, value in zip(columns, line)
+            if not _finite(value)
+        )
+        raise NonFiniteOutputError(f"column {col} of row {index} is not finite: {value}")
     if fmt == "csv":
         for key, value in metadata.items():
             stream.write(f"# {key}={_text(value).translate(_METADATA_ESCAPES)}\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_text(row.get(col)) for col in columns])
+        for line in cells:
+            writer.writerow([_text(value) for value in line])
     else:
         stream.write(_json_line({"record": "metadata", **metadata}) + "\n")
         stream.write(_json_line({"record": "header", "columns": columns}) + "\n")
-        for row in rows:
-            stream.write(_json_line({"record": "row", **{c: row.get(c) for c in columns}}) + "\n")
+        for line in cells:
+            stream.write(_json_line({"record": "row", **dict(zip(columns, line))}) + "\n")
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -541,12 +575,19 @@ def main(argv=None) -> int:
         **{f"config.{key}": _text(effective[key]) for key in sorted(effective)},
     }
 
+    # Rendered whole first, so that a refused table leaves no output file.
+    table = io.StringIO()
+    try:
+        write_table(table, effective["format"], metadata, columns, rows)
+    except NonFiniteOutputError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     out_path = effective.get("out", "-")
     if out_path == "-":
-        write_table(sys.stdout, effective["format"], metadata, columns, rows)
+        sys.stdout.write(table.getvalue())
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            write_table(handle, effective["format"], metadata, columns, rows)
+            handle.write(table.getvalue())
     return code
 
 

@@ -2,15 +2,18 @@
 
 The variational family is q(z) = N(nu, diag(exp(2 * log_std))).  Samples
 are reparameterized as z = nu + exp(log_std) * u with u standard normal,
-the entropy of q enters the objective analytically, and the evidence lower
-bound
+and the evidence lower bound
 
-    ELBO = E_q[log p(z)] + sum(log_std) + n/2 * log(2 pi e)
+    ELBO = E_q[log p(z) - log q(z)]
 
-is ascended with Adam on (nu, log_std).  Targets are plain callables
-mapping a batch of points to values and gradients of log p, so anything
-differentiable can be fitted; a Gaussian-mixture target ships as the
-built-in non-Gaussian test bed.
+is ascended with Adam on (nu, log_std).  The estimator is "sticking the
+landing" (Roeder, Wu & Duvenaud, 2017): each sample is log p(z) - log q(z)
+and its gradient is the path derivative alone, with the score term of q
+dropped.  It is unbiased, and every sample is exactly zero when q = p, so
+the ELBO noise vanishes as a fit reaches an exact optimum.  Targets are
+plain callables mapping a batch of points to values and gradients of log p,
+so anything differentiable can be fitted; a Gaussian-mixture target ships
+as the built-in non-Gaussian test bed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gaussian import (
-    LOG_TWO_PI_E,
     FactorizedGaussian,
     GaussianTarget,
     ShrinkageMatrix,
@@ -50,12 +52,13 @@ __all__ = [
 ]
 
 LogDensityFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+_LOG_TWO_PI = math.log(2.0 * math.pi)
 # A fit draws its noise in blocks of up to one window of steps and 2^17 values.
 _NOISE_BLOCK_VALUES = 2**17
 
 
 class DivergenceError(RuntimeError):
-    """The ELBO became non-finite during optimization."""
+    """The ELBO estimate or its gradient became non-finite during optimization."""
 
     def __init__(self, message: str, step: int, state: "VariationalState"):
         super().__init__(message)
@@ -255,6 +258,28 @@ class VariationalState:
         return FactorizedGaussian(mean=self.mean.copy(), variances=self.variances)
 
 
+def _elbo_terms(
+    log_density: LogDensityFn,
+    mean: np.ndarray,
+    log_std: np.ndarray,
+    noise: np.ndarray,
+    half_norms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, log p(z) + |u|^2 / 2, which _log_q_offset(log_std)
+    completes to the ELBO sample log p(z) - log q(z), and the (m, 2n)
+    gradient, mean part first; ``half_norms`` holds |u|^2 / 2 per row u."""
+    scale = np.exp(log_std)
+    offsets = scale * noise
+    values, grads = log_density(mean + offsets)
+    path = grads + noise / scale
+    return values + half_norms, np.concatenate((path, path * offsets), axis=1)
+
+
+def _log_q_offset(log_std: np.ndarray) -> float:
+    """-log q(z) - |u|^2 / 2 = sum(log_std) + n/2 log(2 pi)."""
+    return float(log_std.sum()) + 0.5 * log_std.size * _LOG_TWO_PI
+
+
 def elbo_sample_terms(
     log_density: LogDensityFn,
     mean: np.ndarray,
@@ -263,20 +288,24 @@ def elbo_sample_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample ELBO values and parameter gradients at fixed noise.
 
-    For z = mean + exp(log_std) * u the pathwise gradients are
+    The sticking-the-landing estimator: for z = mean + sigma * u, with
+    sigma = exp(log_std), each sample is log p(z) - log q(z), where
+    log q(z) = -sum(log_std) - n/2 log(2 pi) - |u|^2 / 2, and the gradients
+    are the path derivatives of log p(z) - log q(z) with q's parameters
+    held fixed inside log q:
 
-        d/d mean    = grad log p(z)
-        d/d log_std = grad log p(z) * exp(log_std) * u + 1
+        d/d mean    = g,  g = grad log p(z) + u / sigma
+        d/d log_std = g * sigma * u
 
-    where the +1 is the exact gradient of the analytic entropy term.
-    Returns (elbo_samples, grad_mean_samples, grad_log_std_samples); the
-    averages over the sample axis are unbiased for the ELBO and its
-    gradient.
+    The dropped score term has zero mean, so the averages over the sample
+    axis are unbiased for the ELBO and its gradient; at q = p every sample
+    of all three is zero, whatever u is.  Returns (elbo_samples,
+    grad_mean_samples, grad_log_std_samples).
     """
-    offsets = np.exp(log_std) * noise
-    values, grads = log_density(mean + offsets)
-    entropy = float(log_std.sum()) + 0.5 * mean.size * LOG_TWO_PI_E
-    return values + entropy, grads, grads * offsets + 1.0
+    half_norms = 0.5 * (noise * noise).sum(axis=-1)
+    values, gradients = _elbo_terms(log_density, mean, log_std, noise, half_norms)
+    n = mean.size
+    return values + _log_q_offset(log_std), gradients[:, :n], gradients[:, n:]
 
 
 def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None = None) -> VariationalState:
@@ -290,6 +319,8 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     attraction (see :func:`mixture_init_mean`); a small perturbation of the
     origin reliably stalls on a broad symmetric solution instead of
     collapsing.
+    Each step averages ``mc_samples`` sticking-the-landing samples (see
+    :func:`elbo_sample_terms`), whose noise shrinks to zero as q nears p.
     Optimization stops when the relative change between consecutive
     trailing-window ELBO averages falls below ``tolerance``, or at
     ``max_steps``.  The noise is drawn one window at a time (in smaller
@@ -304,8 +335,9 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     hover without touching the optimization path; the ELBO trace stays raw.
 
     Raises:
-        DivergenceError: the ELBO estimate became non-finite; the error
-            carries the failing step and the state at that step.
+        DivergenceError: the ELBO estimate or its gradient became
+            non-finite; the error carries the failing step and the state at
+            that step.
     """
     if config is None:
         config = OptimizerConfig()
@@ -336,24 +368,30 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     elbo_values = np.empty(max_steps)
     previous_window: float | None = None
 
-    # Overflow here is a detected failure mode, not a warning condition:
-    # the finiteness check below turns it into DivergenceError.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow and a scale that underflows to zero are detected failure
+    # modes, not warning conditions: the finiteness check below turns them
+    # into DivergenceError.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, max_steps + 1):
             offset = (step - 1) % block
             if offset == 0:
                 noise = rng.standard_normal((min(block, max_steps - step + 1), samples, n))
-            elbo_samples, grad_mean, grad_log_std = elbo_sample_terms(
-                log_density, mean, log_std, noise[offset]
+                half_norms = 0.5 * (noise * noise).sum(axis=-1)
+            values, gradients = _elbo_terms(
+                log_density, mean, log_std, noise[offset], half_norms[offset]
             )
-            elbo = float(elbo_samples.sum() / samples)
-            if not math.isfinite(elbo):
+            elbo = float(values.sum() / samples) + _log_q_offset(log_std)
+            gradient = gradients.sum(axis=0) / samples
+            # A scale that underflows leaves the ELBO finite but the path
+            # gradient, through u / sigma, infinite.
+            if not (math.isfinite(elbo) and math.isfinite(gradient.sum())):
                 state = VariationalState(mean.copy(), log_std.copy(), step, tuple(trace))
-                raise DivergenceError(f"ELBO became non-finite at step {step}", step, state)
+                raise DivergenceError(
+                    f"ELBO or its gradient became non-finite at step {step}", step, state
+                )
             trace.append((step, elbo))
             elbo_values[step - 1] = elbo
 
-            gradient = np.concatenate([grad_mean.sum(axis=0), grad_log_std.sum(axis=0)]) / samples
             first_moment = beta1 * first_moment + (1.0 - beta1) * gradient
             second_moment = beta2 * second_moment + (1.0 - beta2) * (gradient * gradient)
             hat_first = first_moment / (1.0 - beta1**step)

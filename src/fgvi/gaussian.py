@@ -60,21 +60,33 @@ LOG_TWO_PI_E = math.log(2.0 * math.pi) + 1.0
 MIN_LOG_DET = -700.0
 
 SYMMETRY_RTOL = 1e-12
+# Entries per temporary in the blocked symmetry check.
+_SYMMETRY_BLOCK = 2**16
 
 
 def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
+    """0.5 * (a + a.T), once each |a_ij - a_ji| is within SYMMETRY_RTOL *
+    max(1, |a_ij|).  Checks a block of rows at a time, so the only n x n
+    array it makes is the result.  A nan gap passes the check."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
-    scale = np.maximum(1.0, np.abs(a))
-    gap = np.abs(a - a.T)
-    if np.any(gap > SYMMETRY_RTOL * scale):
-        i, j = np.unravel_index(int(np.argmax(gap / scale)), a.shape)
-        raise ValueError(
-            f"{what} is not symmetric: entries ({i},{j}) and ({j},{i}) "
-            f"differ by {gap[i, j]:.3e}"
-        )
-    # Exactly symmetric downstream; a no-op when the input already is.
-    return 0.5 * (a + a.T)
+    n = a.shape[0]
+    out = np.empty_like(a)
+    step = max(1, _SYMMETRY_BLOCK // max(n, 1))
+    for start in range(0, n, step):
+        stop = start + step
+        rows, mirror = a[start:stop], a[:, start:stop].T
+        if (np.abs(rows - mirror) > SYMMETRY_RTOL * np.maximum(np.abs(rows), 1.0)).any():
+            gap, scale = np.abs(a - a.T), np.maximum(1.0, np.abs(a))
+            i, j = np.unravel_index(int(np.argmax(gap / scale)), a.shape)
+            raise ValueError(
+                f"{what} is not symmetric: entries ({i},{j}) and ({j},{i}) "
+                f"differ by {gap[i, j]:.3e}"
+            )
+        np.add(rows, mirror, out=out[start:stop])
+    # Exactly symmetric downstream; equal to the input when it already is.
+    out *= 0.5
+    return out
 
 
 def _correlation_entries(cov: np.ndarray) -> np.ndarray:
@@ -105,14 +117,15 @@ class GaussianTarget:
         cov = np.asarray(self.covariance, dtype=float)
         if mean.ndim != 1 or mean.size < 1:
             raise ValueError(f"mean must be a vector of length >= 1, got shape {mean.shape}")
+        # Before the symmetry check, where inf - inf would make a nan gap.
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         cov = _check_square_symmetric(cov, "covariance")
         if cov.shape[0] != mean.size:
             raise ValueError(
                 f"dimension mismatch: mean has length {mean.size}, "
                 f"covariance is {cov.shape[0]}x{cov.shape[1]}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and covariance must be finite")
         diag = np.diag(cov)
         if np.any(diag <= 0.0):
             j = int(np.argmax(diag <= 0.0))

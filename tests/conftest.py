@@ -1,6 +1,14 @@
 """Shared corpus builders plus the acceptance-summary hook."""
 
-import numpy as np
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# threaded BLAS makes the suite's small kernels many times slower on few
+# cores, and the suite should time the same program on every host.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from fgvi.engine import OptimizerConfig, fit_fgvi, gaussian_log_density_fn

@@ -335,8 +335,7 @@ def test_joint_bound_no_less_accurate_than_vertex_scan():
         exact = _joint_gap_60_digits(n, ratio)
         closed, _ = bound_kl_joint(n, ratio)
         error = abs((Decimal(closed) - exact) / exact)
-        if ratio >= 2.0:
-            assert error <= Decimal("1e-13"), (n, ratio, error)
+        assert error <= Decimal("1e-13"), (n, ratio, error)
         worst_closed = max(worst_closed, float(error))
         worst_scan = max(worst_scan, float(abs((Decimal(_vertex_scan(n, ratio)[1]) - exact) / exact)))
     assert worst_closed <= worst_scan

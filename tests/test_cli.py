@@ -14,7 +14,16 @@ import numpy as np
 import pytest
 
 import fgvi
-from fgvi.cli import build_parser, main, read_matrix_file, resolve_config, write_matrix_file
+from fgvi import cli
+from fgvi.cli import (
+    NonFiniteOutputError,
+    build_parser,
+    main,
+    read_matrix_file,
+    resolve_config,
+    write_matrix_file,
+    write_table,
+)
 from fgvi.gaussian import GaussianTarget, decompose
 
 from conftest import random_spd_target
@@ -570,6 +579,42 @@ def test_non_positive_correlation_eigenvalue_exit_code(tmp_path, capsys):
     assert out == ""
     assert err.startswith("numerical failure: smallest correlation eigenvalue")
     assert len(err.splitlines()) == 1
+
+
+def test_write_table_refuses_non_finite_values():
+    columns = ["name", "value"]
+    finite = [{"name": "a", "value": 1.5}, {"name": "b", "value": np.float64(-2.0)}]
+    bad_cells = (math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"))
+    for fmt in ("csv", "json-lines"):
+        stream = io.StringIO()
+        write_table(stream, fmt, {"tool": "fgvi", "scale": 2.0}, columns, finite)
+        assert stream.getvalue()
+        tables = [({"tool": "fgvi"}, finite + [{"name": "c", "value": v}]) for v in bad_cells]
+        tables += [({"tool": "fgvi", "scale": math.inf}, finite)]
+        tables += [({"tool": "fgvi", "grid": [1.0, math.nan]}, finite)]
+        for metadata, rows in tables:
+            stream = io.StringIO()
+            with pytest.raises(NonFiniteOutputError, match="not finite"):
+                write_table(stream, fmt, metadata, columns, rows)
+            assert stream.getvalue() == ""
+    assert issubclass(NonFiniteOutputError, ArithmeticError)
+
+
+def test_non_finite_output_exit_code(monkeypatch, tmp_path, capsys):
+    def run_nan_sweep(effective):
+        return ["axis", "value"], [{"axis": "eps", "value": math.nan}], 0
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "sweep", ("nan rows", run_nan_sweep))
+    for fmt in ("csv", "json-lines"):
+        out_file = tmp_path / f"table.{fmt}"
+        for out in ("-", str(out_file)):
+            code = main(["sweep", "--n", "3", "--eps-grid", "0.5", "--format", fmt, "--out", out])
+            stdout, err = capsys.readouterr()
+            assert code == 3
+            assert stdout == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("numerical failure: column value of row 0 is not finite")
+        assert not out_file.exists()
 
 
 def test_console_script_help():

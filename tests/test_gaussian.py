@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgvi.engine import gaussian_log_density_fn
+from fgvi import gaussian
 from fgvi.gaussian import (
     LOG_TWO_PI_E,
     ConstantOffDiagClosedForms,
@@ -48,6 +49,57 @@ def test_target_rejects_asymmetric_covariance():
         GaussianTarget(mean=np.zeros(2), covariance=cov)
 
 
+def _whole_matrix_symmetry_check(a, what):
+    """The symmetry check as one pass over whole-matrix temporaries (with
+    inf - inf and inf / inf, which make nan, kept silent)."""
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, np.abs(a))
+        gap = np.abs(a - a.T)
+        if not np.any(gap > gaussian.SYMMETRY_RTOL * scale):
+            return 0.5 * (a + a.T)
+        i, j = np.unravel_index(int(np.argmax(gap / scale)), a.shape)
+        raise ValueError(
+            f"{what} is not symmetric: entries ({i},{j}) and ({j},{i}) "
+            f"differ by {gap[i, j]:.3e}"
+        )
+
+
+def test_blocked_symmetry_check_matches_whole_matrix_pass():
+    """Same accept/reject decision, same message, bit-identical output, on
+    symmetric, nearly symmetric, asymmetric and non-finite inputs; n = 300
+    and 700 span several row blocks."""
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 7, 300, 700):
+        base = rng.standard_normal((n, n)) * np.exp(rng.normal(0.0, 3.0, (n, n)))
+        symmetric = base + base.T
+        cases = [symmetric]
+        # Relative jitter well inside, and straddling, the 1e-12 tolerance.
+        for spread in (2e-13, 1.5e-12):
+            cases.append(symmetric * (1.0 + rng.uniform(-spread, spread, (n, n))))
+        one_off = symmetric.copy()
+        one_off[n - 1, 0] += 1e-6 * max(1.0, abs(one_off[n - 1, 0]))
+        cases.append(one_off)
+        for bad in (np.nan, np.inf):
+            non_finite = symmetric.copy()
+            non_finite[0, n - 1] = bad
+            cases.append(non_finite)
+        for a in cases:
+            try:
+                expected = _whole_matrix_symmetry_check(a, "covariance")
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info, np.errstate(invalid="ignore"):
+                    gaussian._check_square_symmetric(a, "covariance")
+                assert str(info.value) == str(exc)
+                continue
+            with np.errstate(invalid="ignore"):
+                got = gaussian._check_square_symmetric(a, "covariance")
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # Each kind of input was seen: accepted-and-changed and rejected.
+    assert not np.array_equal(_whole_matrix_symmetry_check(cases[1], "c"), cases[1])
+    with pytest.raises(ValueError, match=r"entries \(699,0\) and \(0,699\)"):
+        gaussian._check_square_symmetric(one_off, "covariance")
+
+
 def test_target_rejects_indefinite_covariance():
     # Indefinite, singular, and with a non-positive diagonal entry.
     for cov in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -2.0]]):
@@ -63,6 +115,9 @@ def test_target_rejects_non_finite_entries():
         GaussianTarget(mean=np.zeros(2), covariance=cov)
     with pytest.raises(ValueError):
         GaussianTarget(mean=np.array([np.inf, 0.0]), covariance=np.eye(2))
+    # Rejected before the symmetry check, where inf - inf is a RuntimeWarning.
+    with pytest.raises(ValueError, match="finite"):
+        GaussianTarget(mean=np.zeros(2), covariance=np.diag([1.0, np.inf]))
 
 
 def test_target_rejects_shape_mismatch():
