@@ -99,6 +99,14 @@ def _vertex(n: int, ratio: float, j: int) -> EigenProfile:
     return _profile(ratio, (ratio * bottom, bottom), (j, n - j))
 
 
+def _upper_log_det_S(n: int, ratio: float) -> float:
+    """n log(F/n) for the upper trace bound F, as
+    n log1p((R-1) (R-1)/R j(n-j)/n^2) at j = floor(n/2): F/n itself rounds
+    to 1 near R = 1, where the bound is O((R-1)^2)."""
+    j = n // 2
+    return n * math.log1p((ratio - 1.0) * ((ratio - 1.0) / ratio) * (j * (n - j) / (n * n)))
+
+
 def bound_log_det_S(n: int, condition_ratio: float) -> tuple[float, EigenProfile]:
     """Upper bound on the shrinkage log-determinant log|S| over all
     correlation matrices with the given extreme-eigenvalue ratio.
@@ -108,7 +116,7 @@ def bound_log_det_S(n: int, condition_ratio: float) -> tuple[float, EigenProfile
     profile attaining F.
     """
     trace = bound_trace_S(n, condition_ratio)
-    return n * math.log(trace.upper / n), trace.upper_profile
+    return _upper_log_det_S(n, condition_ratio), trace.upper_profile
 
 
 def bound_log_det_C(n: int, condition_ratio: float) -> tuple[float, EigenProfile]:
@@ -116,14 +124,17 @@ def bound_log_det_C(n: int, condition_ratio: float) -> tuple[float, EigenProfile
 
     The maximizer pins one eigenvalue at each edge, 2/(1+R) and 2R/(1+R),
     and holds every interior eigenvalue at exactly 1, since the two edges
-    sum to 2.  The bound is never positive and is exactly zero at R = 1.
+    sum to 2.  The bound is log(4R/(1+R)^2) = -log1p((R-1)^2/(4R)), never
+    positive and exactly zero at R = 1.
     """
     _check_n_ratio(n, condition_ratio, min_n=1)
     if n == 1:
         return 0.0, _profile(1.0, (1.0,), (1,))
-    lam_n = 2.0 / (1.0 + condition_ratio)
-    profile = _profile(condition_ratio, (condition_ratio * lam_n, 1.0, lam_n), (1, n - 2, 1))
-    return float(np.sum(np.log(profile.values))), profile
+    ratio = condition_ratio
+    lam_n = 2.0 / (1.0 + ratio)
+    profile = _profile(ratio, (ratio * lam_n, 1.0, lam_n), (1, n - 2, 1))
+    # 0.0 minus, not unary minus, so that R = 1 gives +0.0
+    return 0.0 - math.log1p((ratio - 1.0) * ((ratio - 1.0) / ratio) / 4.0), profile
 
 
 def bound_trace_S(n: int, condition_ratio: float) -> TraceShrinkageBounds:
@@ -239,8 +250,7 @@ def bounds_report(n: int, condition_ratio: float) -> BoundsReport:
     return BoundsReport(
         n=n,
         condition_ratio=float(condition_ratio),
-        # bound_log_det_S, read off the one trace bound already at hand
-        upper_log_det_S=n * math.log(trace_bounds.upper / n),
+        upper_log_det_S=_upper_log_det_S(n, condition_ratio),
         upper_log_det_C=upper_c,
         lower_trace_S=trace_bounds.lower,
         upper_trace_S=trace_bounds.upper,

@@ -205,7 +205,16 @@ def mixture_moments(target: MixtureTarget) -> GaussianTarget:
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Adam settings for the stochastic ELBO ascent.  Defaults are the
-    recorded ones; every field can be overridden."""
+    recorded ones; every field can be overridden.
+
+    A fit stops at ``max_steps``, or earlier at a ``window`` boundary on
+    one of two rules: the window means of the ELBO estimates change by at
+    most ``tolerance`` relative, or 4 / (1 - ``average_decay``) steps have
+    passed since they first changed by at most two standard errors.  That
+    horizon is the one over which the returned iterate average forgets all
+    but e^-4 of the iterates from before the ELBO turned stationary, so a
+    decay with 4 / (1 - decay) >= max_steps turns the second rule off.
+    """
 
     learning_rate: float = 0.01
     beta1: float = 0.9
@@ -238,13 +247,17 @@ class VariationalState:
     """Snapshot of a factorized Gaussian fit.
 
     ``elbo_trace`` holds (step, estimate) pairs with steps strictly
-    increasing, one entry per optimization step taken.
+    increasing, one entry per optimization step taken.  ``stop_reason``
+    says why :func:`fit_fgvi` stopped: "tolerance", "stationary" or
+    "max_steps", or "diverged" for the state a DivergenceError carries; it
+    is None for a state built by hand.
     """
 
     mean: np.ndarray
     log_std: np.ndarray
     step_count: int
     elbo_trace: tuple[tuple[int, float], ...]
+    stop_reason: str | None = None
 
     @property
     def n(self) -> int:
@@ -308,6 +321,32 @@ def elbo_sample_terms(
     return values + _log_q_offset(log_std), gradients[:, :n], gradients[:, n:]
 
 
+def _window_stop(
+    current: tuple[float, float],
+    previous: tuple[float, float],
+    step: int,
+    stationary_since: int | None,
+    config: OptimizerConfig,
+) -> tuple[str | None, int | None]:
+    """The stop decision of :func:`fit_fgvi` at a window boundary.
+
+    ``current`` and ``previous`` are the (mean, sample variance) of the
+    per-step ELBO estimates in the window ending at ``step`` and in the one
+    before it; ``stationary_since`` is the step of the stationarity mark,
+    if set.  Returns (the stop reason or None, the mark).
+    """
+    change = abs(current[0] - previous[0])
+    if change <= config.tolerance * max(1.0, abs(previous[0])):
+        return "tolerance", stationary_since
+    standard_error = math.sqrt((current[1] + previous[1]) / config.window)
+    if stationary_since is None and change <= 2.0 * standard_error:
+        stationary_since = step
+    horizon = 4.0 / (1.0 - config.average_decay)
+    if stationary_since is not None and step - stationary_since >= horizon:
+        return "stationary", stationary_since
+    return None, stationary_since
+
+
 def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None = None) -> VariationalState:
     """Fit a factorized Gaussian to a log-density by stochastic ELBO ascent.
 
@@ -321,12 +360,24 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     collapsing.
     Each step averages ``mc_samples`` sticking-the-landing samples (see
     :func:`elbo_sample_terms`), whose noise shrinks to zero as q nears p.
-    Optimization stops when the relative change between consecutive
-    trailing-window ELBO averages falls below ``tolerance``, or at
-    ``max_steps``.  The noise is drawn one window at a time (in smaller
-    blocks when a window would exceed 2^17 values), as one
-    (steps, mc_samples, n) array from the seeded generator; that is the
-    same stream, value for value, as one (mc_samples, n) draw per step.
+    Every ``window`` steps the mean m_k and sample variance v_k of the
+    window's ELBO estimates are compared with the previous window's, and
+    the fit stops on the first of two rules, or at ``max_steps``:
+
+    - tolerance: |m_k - m_{k-1}| <= tolerance * max(1, |m_{k-1}|).  Where
+      q can match p the estimator's noise vanishes and this fires first.
+    - stationary: 4 / (1 - ``average_decay``) steps (4000 at the default)
+      have passed since the first boundary with |m_k - m_{k-1}| <=
+      2 sqrt((v_k + v_{k-1}) / window), two Monte Carlo standard errors.
+      Where q cannot match p, as for a correlated Gaussian, the noise
+      stays and this rule ends the fit; by then the returned average
+      weighs the iterates from before that boundary by at most e^-4.
+
+    ``stop_reason`` on the result names the rule that fired.  The noise is
+    drawn one window at a time (in smaller blocks when a window would
+    exceed 2^17 values), as one (steps, mc_samples, n) array from the
+    seeded generator; that is the same stream, value for value, as one
+    (mc_samples, n) draw per step.
 
     A constant-step stochastic optimizer never sits still: it hovers around
     the optimum with jitter set by the step size and gradient noise.  The
@@ -366,7 +417,9 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     first_moment, second_moment, averaged = np.zeros((3, 2 * n))
     trace: list[tuple[int, float]] = []
     elbo_values = np.empty(max_steps)
-    previous_window: float | None = None
+    previous: tuple[float, float] | None = None
+    stationary_since: int | None = None
+    stop_reason = "max_steps"
 
     # Overflow and a scale that underflows to zero are detected failure
     # modes, not warning conditions: the finiteness check below turns them
@@ -385,7 +438,9 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
             # A scale that underflows leaves the ELBO finite but the path
             # gradient, through u / sigma, infinite.
             if not (math.isfinite(elbo) and math.isfinite(gradient.sum())):
-                state = VariationalState(mean.copy(), log_std.copy(), step, tuple(trace))
+                state = VariationalState(
+                    mean.copy(), log_std.copy(), step, tuple(trace), "diverged"
+                )
                 raise DivergenceError(
                     f"ELBO or its gradient became non-finite at step {step}", step, state
                 )
@@ -400,15 +455,22 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
             averaged = decay * averaged + (1.0 - decay) * params
 
             if step % window == 0:
-                window_mean = float(elbo_values[step - window: step].sum() / window)
-                if previous_window is not None:
-                    change = abs(window_mean - previous_window)
-                    if change <= config.tolerance * max(1.0, abs(previous_window)):
+                window_values = elbo_values[step - window: step]
+                current = (
+                    float(window_values.sum() / window),
+                    float(window_values.var(ddof=1)) if window > 1 else 0.0,
+                )
+                if previous is not None:
+                    reason, stationary_since = _window_stop(
+                        current, previous, step, stationary_since, config
+                    )
+                    if reason is not None:
+                        stop_reason = reason
                         break
-                previous_window = window_mean
+                previous = current
 
     averaged = averaged / (1.0 - decay**step)
-    return VariationalState(averaged[:n], averaged[n:], step, tuple(trace))
+    return VariationalState(averaged[:n], averaged[n:], step, tuple(trace), stop_reason)
 
 
 class ShrinkageComparison(NamedTuple):

@@ -341,6 +341,47 @@ def test_joint_bound_no_less_accurate_than_vertex_scan():
     assert worst_closed <= worst_scan
 
 
+def _log_det_bounds_60_digits(n: int, ratio: float) -> tuple[Decimal, Decimal]:
+    """(upper log|S|, upper log|C|) = (n ln(1 + x j(n-j)/n^2), -ln(1 + x/4)),
+    x = (R-1)^2/R and j = floor(n/2), in 60-digit decimal arithmetic from
+    the exact binary value of R."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r, j = Decimal(ratio), n // 2
+        x = (r - 1) ** 2 / r
+        return n * (1 + x * j * (n - j) / (n * n)).ln(), -(1 + x / 4).ln()
+
+
+def test_log_det_bounds_to_rounding_near_unit_ratio():
+    """Both separate log-det bounds are O((R-1)^2) near R = 1; they hold to
+    a few roundings over R - 1 from 1e-15 to 3, so their sum is never a
+    negative bound on the gap and, from n = 3, never undercuts the joint
+    bound.  At n = 2 the two are the same function, and they agree within
+    n ulps of log R, the size of the terms the joint closed form cancels."""
+    rng = np.random.default_rng(13)
+    points = [(2, 1.0 + 1e-9), (3, 1.0 + 1e-10), (10, 1.0 + 1e-6), (5, 1.0 + 1e-15), (7, 4.0)]
+    for k in range(200):
+        n = int(rng.integers(2, 3001)) if k % 2 else int(rng.integers(2, 60))
+        points.append((n, 1.0 + 10.0 ** rng.uniform(-15.0, math.log10(3.0))))
+    rounding = 4 * np.finfo(float).eps
+    for n, ratio in points:
+        report = bounds_report(n, ratio)
+        exact_s, exact_c = _log_det_bounds_60_digits(n, ratio)
+        for got, exact in (
+            (report.upper_log_det_S, exact_s),
+            (bound_log_det_S(n, ratio)[0], exact_s),
+            (report.upper_log_det_C, exact_c),
+            (bound_log_det_C(n, ratio)[0], exact_c),
+        ):
+            assert abs((Decimal(got) - exact) / exact) <= rounding, (n, ratio, got)
+        assert report.joint_kl_upper >= 0.0
+        if n == 2:
+            gap = abs(report.joint_kl_upper - report.separate_kl_upper)
+            assert gap <= n * math.ulp(math.log(ratio)), (ratio, gap)
+        else:
+            assert report.joint_kl_upper <= report.separate_kl_upper, (n, ratio)
+
+
 def test_bounds_past_double_range_raise_overflow():
     # upper_trace_S is about n R / 4, past the largest double here.
     for n, ratio in ((100, 1e307), (3000, 1e306)):

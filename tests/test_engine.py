@@ -359,12 +359,84 @@ def test_fits_stop_on_the_tolerance_test(standard_normal_fits):
     limit = OptimizerConfig().max_steps // 10
     for state in standard_normal_fits:
         assert state.step_count <= limit
+        assert state.stop_reason == "tolerance"
         assert np.max(np.abs(state.variances - 1.0)) <= 1e-3
     target = _default_mixture()
     density = mixture_log_density_fn(target)
     for seed in range(5):
         config = OptimizerConfig(seed=seed, init_mean=mixture_init_mean(target, seed))
-        assert fit_fgvi(density, 2, config).step_count <= limit
+        state = fit_fgvi(density, 2, config)
+        assert state.step_count <= limit
+        assert state.stop_reason == "tolerance"
+
+
+def test_correlated_fits_stop_when_stationary(correlated_fits):
+    """Where q cannot match p the ELBO noise stays and the tolerance test
+    fires only by chance; the noise-aware rule ends those fits well before
+    the cap."""
+    _, states = correlated_fits
+    target = constant_offdiag_target(ConstantOffDiagConfig(n=20, eps=0.5))
+    density = gaussian_log_density_fn(target)
+    states = states + [fit_fgvi(density, 20, OptimizerConfig(seed=seed)) for seed in range(3)]
+    for state in states:
+        assert state.step_count < OptimizerConfig().max_steps // 4
+        assert state.stop_reason in ("tolerance", "stationary")
+
+
+def _drive_stop(windows, config):
+    """Feed (mean, variance) windows to the stop helper boundary by
+    boundary; (stop reason, step, stationarity mark) where it stops, or
+    (None, last step, mark) if it never does."""
+    previous, mark, step = windows[0], None, config.window
+    for current in windows[1:]:
+        step += config.window
+        reason, mark = engine._window_stop(current, previous, step, mark, config)
+        if reason is not None:
+            return reason, step, mark
+        previous = current
+    return None, step, mark
+
+
+def test_stop_helper_ignores_a_trend():
+    """A trend of 5 standard errors per window is never taken for noise."""
+    config = OptimizerConfig()
+    standard_error = math.sqrt(2.0 / config.window)
+    windows = [(-100.0 + 5.0 * standard_error * k, 1.0) for k in range(400)]
+    assert _drive_stop(windows, config) == (None, 400 * config.window, None)
+
+
+@pytest.mark.parametrize("decay", [0.9, 0.99, 0.999])
+def test_stop_helper_stops_a_horizon_after_flat_noise(decay):
+    """Means that wobble by half a standard error mark the ELBO stationary
+    at the first comparison, and the fit stops 4 / (1 - decay) steps on,
+    rounded up to a window boundary."""
+    config = OptimizerConfig(average_decay=decay)
+    standard_error = math.sqrt(2.0 / config.window)
+    windows = [(-3.0 + 0.5 * standard_error * (k % 2), 1.0) for k in range(100)]
+    reason, step, mark = _drive_stop(windows, config)
+    horizon = 4.0 / (1.0 - decay)
+    assert (reason, mark) == ("stationary", 2 * config.window)
+    assert 0 <= step - mark - horizon < config.window
+
+
+def test_stop_helper_tolerance_test_wins():
+    config = OptimizerConfig()
+    flat = (-3.0, 1.0)
+    # Both rules would fire: the mark is a horizon old and the means agree.
+    assert engine._window_stop(flat, flat, 5000, 400, config) == ("tolerance", 400)
+    # At the first comparison, the tolerance test fires before any mark.
+    assert engine._window_stop(flat, flat, 400, None, config) == ("tolerance", None)
+
+
+def test_stop_reason_names_the_cap_and_single_step_windows():
+    """The pinned Gaussian path runs to its cap; one-step windows take the
+    variance as 0 and raise no warning."""
+    density, n, _ = _pinned_cases()["gauss5"]
+    assert fit_fgvi(density, n, OptimizerConfig(seed=0, max_steps=600)).stop_reason == "max_steps"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = fit_fgvi(density, n, OptimizerConfig(seed=0, max_steps=50, window=1))
+    assert state.stop_reason in ("tolerance", "stationary", "max_steps")
 
 
 def test_correlated_recovery_within_five_percent(correlated_fits):
@@ -609,6 +681,7 @@ def test_divergence_error_carries_state():
     error = info.value
     assert error.step >= 1
     assert error.state.step_count == error.step
+    assert error.state.stop_reason == "diverged"
     assert len(error.state.elbo_trace) == error.step - 1
 
 
