@@ -8,14 +8,19 @@ lambda_n = (n/R) / (j + (n-j)/R), a form that never builds the overflowing
 j R.  Every envelope has a closed form: the convex sum(1/lambda_i) peaks at
 j = floor(n/2), the joint divergence is the one scan over vertices, and the
 maximizer of sum(log lambda_i) and the minimizer of sum(1/lambda_i) pin one
-eigenvalue at each edge and hold the interior ones equal.  One helper,
-_profile, builds every maximizing spectrum.
+eigenvalue at each edge and hold the interior ones equal.
+
+Each envelope value has one scalar helper, and bounds_report calls only
+those: it builds no spectrum.  One helper, _profile, builds every
+maximizing spectrum, for the bound_* functions and for a report's
+``maximizers``, which are built on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +40,9 @@ __all__ = [
 _PROFILE_RTOL = 1e-10
 # The powers m of s = (R-1)/R summed by bound_kl_joint's series near R = 1.
 _SERIES_POWERS = np.arange(2, 21)
+# 1/k! for k = 25 down to 2, Horner order: h(y) = y^2 sum_k y^(k-2)/k!, whose
+# tail past k = 25 is below 2^-60 relative for |y| <= 2.
+_H_TAYLOR = tuple(1 / math.factorial(k) for k in range(25, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -99,12 +107,70 @@ def _vertex(n: int, ratio: float, j: int) -> EigenProfile:
     return _profile(ratio, (ratio * bottom, bottom), (j, n - j))
 
 
+def _upper_trace_S(n: int, ratio: float) -> float:
+    """Class maximum of sum(1/lambda_i): vertex j = floor(n/2)."""
+    j = n // 2
+    return n + (ratio - 1.0) * ((ratio - 1.0) / ratio) * (j * (n - j) / n)
+
+
+def _lower_trace_S(n: int, ratio: float) -> float:
+    """Class minimum of sum(1/lambda_i) for n >= 3."""
+    root = math.sqrt(ratio)
+    return (root + 1.0 / root + n - 2) ** 2 / n
+
+
 def _upper_log_det_S(n: int, ratio: float) -> float:
     """n log(F/n) for the upper trace bound F, as
     n log1p((R-1) (R-1)/R j(n-j)/n^2) at j = floor(n/2): F/n itself rounds
     to 1 near R = 1, where the bound is O((R-1)^2)."""
     j = n // 2
     return n * math.log1p((ratio - 1.0) * ((ratio - 1.0) / ratio) * (j * (n - j) / (n * n)))
+
+
+def _upper_log_det_C(ratio: float) -> float:
+    """-log1p((R-1)^2/(4R)) for n >= 2."""
+    # 0.0 minus, not unary minus, so that R = 1 gives +0.0
+    return 0.0 - math.log1p((ratio - 1.0) * ((ratio - 1.0) / ratio) / 4.0)
+
+
+def _expm1_minus_identity(y: float) -> float:
+    """h(y) = e^y - 1 - y >= 0: by its Taylor series for |y| <= 2, where
+    expm1(y) - y would cancel, and as that difference beyond."""
+    if abs(y) > 2.0:
+        return math.expm1(y) - y
+    acc = 0.0
+    for coefficient in _H_TAYLOR:
+        acc = acc * y + coefficient
+    return acc * y * y
+
+
+def _joint_gap(n: int, j: int, log_ratio: float) -> float:
+    """g(j) = (n/2) log1p((1-t) h(t x) + t h(-(1-t) x)), t = j/n, x = log R;
+    both h terms are non-negative, so nothing cancels."""
+    t, rest = j / n, (n - j) / n
+    return 0.5 * n * math.log1p(
+        rest * _expm1_minus_identity(t * log_ratio) + t * _expm1_minus_identity(-rest * log_ratio)
+    )
+
+
+def _joint_kl(n: int, ratio: float) -> tuple[float, int]:
+    """The largest joint gap g(j) over j = 1..n-1 and its j; see bound_kl_joint."""
+    shrink = (ratio - 1.0) / ratio
+    j = np.arange(1, n)
+    if shrink < 0.125:
+        # A_k from the highest k down, the coefficient order polyval takes.
+        tails = np.cumsum((shrink**_SERIES_POWERS / _SERIES_POWERS)[::-1])
+        gaps = 0.5 * (j * (n - j) / n) * np.polyval(tails, j / n)
+        best = int(np.argmax(gaps))
+        return float(gaps[best]), best + 1
+    # The cancelling form is a few ulps off, close enough to place the
+    # argmax within one of the true one; the exact form decides among three.
+    log_ratio = math.log(ratio)
+    best = int(np.argmax(n * np.log1p(-(j / n) * shrink) + j * log_ratio)) + 1
+    candidates = range(max(1, best - 1), min(n - 1, best + 1) + 1)
+    gaps = [_joint_gap(n, k, log_ratio) for k in candidates]
+    top = max(gaps)
+    return top, candidates[gaps.index(top)]
 
 
 def bound_log_det_S(n: int, condition_ratio: float) -> tuple[float, EigenProfile]:
@@ -115,8 +181,8 @@ def bound_log_det_S(n: int, condition_ratio: float) -> tuple[float, EigenProfile
     sum(1/lambda_i), the upper trace bound; returns the bound and the
     profile attaining F.
     """
-    trace = bound_trace_S(n, condition_ratio)
-    return _upper_log_det_S(n, condition_ratio), trace.upper_profile
+    _check_n_ratio(n, condition_ratio, min_n=2)
+    return _upper_log_det_S(n, condition_ratio), _vertex(n, condition_ratio, n // 2)
 
 
 def bound_log_det_C(n: int, condition_ratio: float) -> tuple[float, EigenProfile]:
@@ -133,8 +199,7 @@ def bound_log_det_C(n: int, condition_ratio: float) -> tuple[float, EigenProfile
     ratio = condition_ratio
     lam_n = 2.0 / (1.0 + ratio)
     profile = _profile(ratio, (ratio * lam_n, 1.0, lam_n), (1, n - 2, 1))
-    # 0.0 minus, not unary minus, so that R = 1 gives +0.0
-    return 0.0 - math.log1p((ratio - 1.0) * ((ratio - 1.0) / ratio) / 4.0), profile
+    return _upper_log_det_C(ratio), profile
 
 
 def bound_trace_S(n: int, condition_ratio: float) -> TraceShrinkageBounds:
@@ -153,14 +218,13 @@ def bound_trace_S(n: int, condition_ratio: float) -> TraceShrinkageBounds:
     """
     _check_n_ratio(n, condition_ratio, min_n=2)
     ratio = condition_ratio
-    j = n // 2
-    upper = n + (ratio - 1.0) * ((ratio - 1.0) / ratio) * (j * (n - j) / n)
-    upper_profile = _vertex(n, ratio, j)
+    upper = _upper_trace_S(n, ratio)
+    upper_profile = _vertex(n, ratio, n // 2)
     if n == 2:
         return TraceShrinkageBounds(upper, upper, upper_profile, upper_profile)
     root = math.sqrt(ratio)
     lam_n = n / (1.0 + ratio + (n - 2) * root)
-    lower = (root + 1.0 / root + n - 2) ** 2 / n
+    lower = _lower_trace_S(n, ratio)
     lower_profile = _profile(ratio, (ratio * lam_n, root * lam_n, lam_n), (1, n - 2, 1))
     return TraceShrinkageBounds(lower, upper, lower_profile, upper_profile)
 
@@ -181,35 +245,34 @@ def bound_kl_joint(n: int, condition_ratio: float) -> tuple[float, EigenProfile]
 
     concave in j.  Returns the largest g(j) over j = 1..n-1 and its vertex.
 
-    Near R = 1 the two terms of g(j) cancel to O(j (R-1)^2), so for
-    s < 1/8 it is summed instead from the series of -log(1 - u) in
-    s = 1 - 1/R, whose terms are all positive:
+    The two terms of that form cancel.  For s >= 1/8 it locates the
+    argmax, and the three vertices around it are valued in the equal form
+
+        g(j) = (n/2) log1p((1-t) h(t x) + t h(-(1-t) x)),  x = log R,
+
+    with h(y) = expm1(y) - y, whose terms are non-negative.  Near R = 1 the
+    cancellation leaves O(j (R-1)^2), so for s < 1/8 g(j) is summed instead
+    from the series of -log(1 - u) in s = 1 - 1/R, whose terms are all
+    positive:
 
         g(j) = j (n-j) / (2n) * sum_k A_k t^k,  A_k = sum_{m >= k+2} s^m / m,
 
     truncated at m = 20, past which the tail is below 2^-55 relative.
     """
     _check_n_ratio(n, condition_ratio, min_n=2)
-    ratio = condition_ratio
-    shrink = (ratio - 1.0) / ratio
-    j = np.arange(1, n)
-    if shrink < 0.125:
-        # A_k from the highest k down, the coefficient order polyval takes.
-        tails = np.cumsum((shrink**_SERIES_POWERS / _SERIES_POWERS)[::-1])
-        gaps = 0.5 * (j * (n - j) / n) * np.polyval(tails, j / n)
-    else:
-        gaps = 0.5 * (n * np.log1p(-(j / n) * shrink) + j * math.log(ratio))
-    best = int(np.argmax(gaps))
-    return float(gaps[best]), _vertex(n, ratio, best + 1)
+    gap, j = _joint_kl(n, condition_ratio)
+    return gap, _vertex(n, condition_ratio, j)
 
 
 @dataclass(frozen=True)
 class BoundsReport:
     """All envelope values at one (n, condition ratio) point.
 
-    ``maximizers`` maps each bound name to the profile attaining it.  Every
-    bound is finite (else OverflowError), the joint KL bound never exceeds
-    the sum of the two separate ones, and the correlation bound is at most 0.
+    Every bound is finite (else OverflowError), the joint KL bound never
+    exceeds the sum of the two separate ones, and the correlation bound is
+    at most 0.  ``maximizers`` maps each bound name to the profile attaining
+    it; it is built from the bound_* functions on first read and then kept,
+    so a report nobody inspects builds no profile.
     """
 
     n: int
@@ -219,10 +282,10 @@ class BoundsReport:
     lower_trace_S: float
     upper_trace_S: float
     joint_kl_upper: float
-    maximizers: dict[str, EigenProfile] = field(repr=False)
 
     def __post_init__(self):
-        if not np.isfinite([self.upper_log_det_S, self.upper_trace_S, self.joint_kl_upper]).all():
+        checked = (self.upper_log_det_S, self.upper_trace_S, self.joint_kl_upper)
+        if not all(map(math.isfinite, checked)):
             raise OverflowError(f"bounds at n={self.n}, R={self.condition_ratio!r} overflow")
         if self.upper_log_det_C > 1e-12:
             raise ValueError(
@@ -241,27 +304,33 @@ class BoundsReport:
         """Gap bound obtained by adding the two separate envelopes."""
         return 0.5 * self.upper_log_det_S + 0.5 * self.upper_log_det_C
 
+    @cached_property
+    def maximizers(self) -> dict[str, EigenProfile]:
+        """Bound name -> attaining profile; log_det_S shares trace_S_upper's."""
+        n, ratio = self.n, self.condition_ratio
+        trace = bound_trace_S(n, ratio)
+        return {
+            "log_det_S": trace.upper_profile,
+            "log_det_C": bound_log_det_C(n, ratio)[1],
+            "trace_S_lower": trace.lower_profile,
+            "trace_S_upper": trace.upper_profile,
+            "kl_joint": bound_kl_joint(n, ratio)[1],
+        }
+
 
 def bounds_report(n: int, condition_ratio: float) -> BoundsReport:
-    """Assemble every bound at one (n, condition ratio) point."""
-    trace_bounds = bound_trace_S(n, condition_ratio)
-    upper_c, profile_c = bound_log_det_C(n, condition_ratio)
-    joint, profile_joint = bound_kl_joint(n, condition_ratio)
+    """Every bound at one (n, condition ratio) point, values only."""
+    _check_n_ratio(n, condition_ratio, min_n=2)
+    ratio = condition_ratio
+    upper_trace = _upper_trace_S(n, ratio)
     return BoundsReport(
         n=n,
-        condition_ratio=float(condition_ratio),
-        upper_log_det_S=_upper_log_det_S(n, condition_ratio),
-        upper_log_det_C=upper_c,
-        lower_trace_S=trace_bounds.lower,
-        upper_trace_S=trace_bounds.upper,
-        joint_kl_upper=joint,
-        maximizers={
-            "log_det_S": trace_bounds.upper_profile,
-            "log_det_C": profile_c,
-            "trace_S_lower": trace_bounds.lower_profile,
-            "trace_S_upper": trace_bounds.upper_profile,
-            "kl_joint": profile_joint,
-        },
+        condition_ratio=float(ratio),
+        upper_log_det_S=_upper_log_det_S(n, ratio),
+        upper_log_det_C=_upper_log_det_C(ratio),
+        lower_trace_S=_lower_trace_S(n, ratio) if n > 2 else upper_trace,
+        upper_trace_S=upper_trace,
+        joint_kl_upper=_joint_kl(n, ratio)[0],
     )
 
 

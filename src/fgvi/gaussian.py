@@ -385,7 +385,7 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     trace_term = float(variances @ inv_diag)
     kl = 0.5 * (trace_term - (log_det_psi - log_det_sigma) - n)
 
-    eigvals = np.linalg.eigvalsh(correlation_from_covariance(target).entries)
+    eigvals = np.linalg.eigvalsh(_correlation_entries(target.covariance))
     if not eigvals[0] > 0.0:
         raise IndefiniteError(float(eigvals[0]))
     condition = float(eigvals[-1] / eigvals[0])

@@ -1,6 +1,7 @@
 """Condition-number envelopes against brute-force search."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -341,6 +342,25 @@ def test_joint_bound_no_less_accurate_than_vertex_scan():
     assert worst_closed <= worst_scan
 
 
+def test_joint_bound_to_rounding_away_from_unit_ratio():
+    """For (R-1)/R >= 1/8 the joint bound is valued in a form whose terms
+    are all non-negative, so it holds to 8 units of 2^-53 relative; at
+    n = 2, where it equals the separate bound, the two agree within 4 ulps
+    of the bound for every R up to 1e300."""
+    rng = np.random.default_rng(14)
+    unit = 2.0**-53
+    for k in range(300):
+        n = int(rng.integers(2, 301)) if k % 2 else int(rng.integers(2, 3001))
+        ratio = float(math.exp(rng.uniform(math.log(8.0 / 7.0), math.log(1e12))))
+        exact = _joint_gap_60_digits(n, ratio)
+        closed, _ = bound_kl_joint(n, ratio)
+        assert abs((Decimal(closed) - exact) / exact) <= Decimal(8 * unit), (n, ratio, closed)
+    for ratio in 10.0 ** rng.uniform(math.log10(8.0 / 7.0), 300.0, size=200):
+        report = bounds_report(2, float(ratio))
+        gap = abs(report.joint_kl_upper - report.separate_kl_upper)
+        assert gap <= 4 * math.ulp(report.separate_kl_upper), (ratio, gap)
+
+
 def _log_det_bounds_60_digits(n: int, ratio: float) -> tuple[Decimal, Decimal]:
     """(upper log|S|, upper log|C|) = (n ln(1 + x j(n-j)/n^2), -ln(1 + x/4)),
     x = (R-1)^2/R and j = floor(n/2), in 60-digit decimal arithmetic from
@@ -357,7 +377,7 @@ def test_log_det_bounds_to_rounding_near_unit_ratio():
     a few roundings over R - 1 from 1e-15 to 3, so their sum is never a
     negative bound on the gap and, from n = 3, never undercuts the joint
     bound.  At n = 2 the two are the same function, and they agree within
-    n ulps of log R, the size of the terms the joint closed form cancels."""
+    4 ulps of the bound itself."""
     rng = np.random.default_rng(13)
     points = [(2, 1.0 + 1e-9), (3, 1.0 + 1e-10), (10, 1.0 + 1e-6), (5, 1.0 + 1e-15), (7, 4.0)]
     for k in range(200):
@@ -377,7 +397,7 @@ def test_log_det_bounds_to_rounding_near_unit_ratio():
         assert report.joint_kl_upper >= 0.0
         if n == 2:
             gap = abs(report.joint_kl_upper - report.separate_kl_upper)
-            assert gap <= n * math.ulp(math.log(ratio)), (ratio, gap)
+            assert gap <= 4 * math.ulp(report.separate_kl_upper), (ratio, gap)
         else:
             assert report.joint_kl_upper <= report.separate_kl_upper, (n, ratio)
 
@@ -387,3 +407,89 @@ def test_bounds_past_double_range_raise_overflow():
     for n, ratio in ((100, 1e307), (3000, 1e306)):
         with pytest.raises(OverflowError, match="overflow"):
             bounds_report(n, ratio)
+
+
+# ------------------------------------------------------ lazy maximizers
+
+
+_PROFILE_GRID = [
+    (n, ratio)
+    for n in (2, 3, 5)
+    for ratio in (1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 8.0 / 7.0, 4.0, 1e6, 1e160, 1e308)
+] + [
+    (n, ratio)
+    for n in (12, 64, 257)
+    for ratio in (1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.1, 8.0 / 7.0, 4.0, 1e6, 1e160, 1e300)
+]
+
+
+def test_bounds_report_builds_no_profile(monkeypatch):
+    built = []
+    validate = EigenProfile.__post_init__
+
+    def counting(profile):
+        built.append(profile)
+        validate(profile)
+
+    monkeypatch.setattr(EigenProfile, "__post_init__", counting)
+    for n in (2, 3, 12, 64):
+        grid = [1.0, 1.0 + 1e-9, 1.1, 4.0, 1e6]
+        reports = [bounds_report(n, ratio) for ratio in grid]
+        reports += envelope_sweep(n, grid)
+        assert built == []
+        for report in reports:
+            report.maximizers
+            assert len(built) == (3 if n == 2 else 4), (n, report.condition_ratio)
+            report.maximizers
+            assert len(built) == (3 if n == 2 else 4)
+            built.clear()
+
+
+def _same_bits(a: EigenProfile, b: EigenProfile) -> bool:
+    return a.values.tobytes() == b.values.tobytes() and a.condition_ratio == b.condition_ratio
+
+
+def test_lazy_maximizers_match_bound_functions():
+    for n, ratio in _PROFILE_GRID:
+        maximizers = bounds_report(n, ratio).maximizers
+        trace = bound_trace_S(n, ratio)
+        assert maximizers["log_det_S"] is maximizers["trace_S_upper"]
+        for name, profile in (
+            ("log_det_S", bound_log_det_S(n, ratio)[1]),
+            ("log_det_C", bound_log_det_C(n, ratio)[1]),
+            ("trace_S_lower", trace.lower_profile),
+            ("trace_S_upper", trace.upper_profile),
+            ("kl_joint", bound_kl_joint(n, ratio)[1]),
+        ):
+            assert _same_bits(maximizers[name], profile), (n, ratio, name)
+
+
+# (n, R, overflows): either side of where upper_trace_S, about
+# R floor(n/2) ceil(n/2) / n, leaves double range, plus the unit-ratio end.
+_RAISE_EDGE = [
+    (5, 1.49e308, False),
+    (5, 1.5e308, True),
+    (100, 7.1e306, False),
+    (100, 7.2e306, True),
+    (3000, 2.39e305, False),
+    (3000, 2.4e305, True),
+    (2, 1.7976931348623157e308, False),
+    (3, 1.7976931348623157e308, False),
+    (4, 1.7976931348623157e308, False),
+    (2, 1.0, False),
+    (3, 1.0 + 2.0**-52, False),
+]
+
+
+def test_report_raises_only_where_a_bound_overflows():
+    """bounds_report builds no profile, so it raises only on its values:
+    OverflowError past double range, with the point in the message.  Just
+    inside that edge every maximizer is still built and valid."""
+    for n, ratio, overflows in _RAISE_EDGE:
+        if overflows:
+            message = re.escape(f"bounds at n={n}, R={ratio!r} overflow")
+            with pytest.raises(OverflowError, match=message):
+                bounds_report(n, ratio)
+        else:
+            for profile in bounds_report(n, ratio).maximizers.values():
+                _assert_profile_feasible(profile, n, ratio)
