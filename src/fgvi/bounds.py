@@ -6,9 +6,11 @@ class is a polytope whose vertices are the n-1 two-level spectra: j
 eigenvalues at the top edge R lambda_n and n-j at the bottom edge
 lambda_n = (n/R) / (j + (n-j)/R), a form that never builds the overflowing
 j R.  Every envelope has a closed form: the convex sum(1/lambda_i) peaks at
-j = floor(n/2), the joint divergence is the one scan over vertices, and the
+j = floor(n/2), the concave joint divergence peaks next to j = n t*, and the
 maximizer of sum(log lambda_i) and the minimizer of sum(1/lambda_i) pin one
-eigenvalue at each edge and hold the interior ones equal.
+eigenvalue at each edge and hold the interior ones equal.  Near R = 1 the
+naive t* = R/(R-1) - 1/log R cancels, so t* is h(-x) / (x (-expm1(-x))),
+x = log R and h(y) = expm1(y) - y, a ratio of non-negative parts.
 
 Each envelope value has one scalar helper, and bounds_report calls only
 those: it builds no spectrum.  One helper, _profile, builds every
@@ -38,8 +40,6 @@ __all__ = [
 ]
 
 _PROFILE_RTOL = 1e-10
-# The powers m of s = (R-1)/R summed by bound_kl_joint's series near R = 1.
-_SERIES_POWERS = np.arange(2, 21)
 # 1/k! for k = 25 down to 2, Horner order: h(y) = y^2 sum_k y^(k-2)/k!, whose
 # tail past k = 25 is below 2^-60 relative for |y| <= 2.
 _H_TAYLOR = tuple(1 / math.factorial(k) for k in range(25, 1, -1))
@@ -155,22 +155,13 @@ def _joint_gap(n: int, j: int, log_ratio: float) -> float:
 
 def _joint_kl(n: int, ratio: float) -> tuple[float, int]:
     """The largest joint gap g(j) over j = 1..n-1 and its j; see bound_kl_joint."""
-    shrink = (ratio - 1.0) / ratio
-    j = np.arange(1, n)
-    if shrink < 0.125:
-        # A_k from the highest k down, the coefficient order polyval takes.
-        tails = np.cumsum((shrink**_SERIES_POWERS / _SERIES_POWERS)[::-1])
-        gaps = 0.5 * (j * (n - j) / n) * np.polyval(tails, j / n)
-        best = int(np.argmax(gaps))
-        return float(gaps[best]), best + 1
-    # The cancelling form is a few ulps off, close enough to place the
-    # argmax within one of the true one; the exact form decides among three.
-    log_ratio = math.log(ratio)
-    best = int(np.argmax(n * np.log1p(-(j / n) * shrink) + j * log_ratio)) + 1
-    candidates = range(max(1, best - 1), min(n - 1, best + 1) + 1)
-    gaps = [_joint_gap(n, k, log_ratio) for k in candidates]
-    top = max(gaps)
-    return top, candidates[gaps.index(top)]
+    x = math.log(ratio)
+    if x == 0.0:
+        return 0.0, 1
+    low = math.floor(n * (_expm1_minus_identity(-x) / (x * -math.expm1(-x))))  # n t*
+    gaps = {j: _joint_gap(n, j, x) for j in range(max(1, low - 1), min(n - 1, low + 2) + 1)}
+    j = max(gaps, key=gaps.get)  # the smaller j of a tie, as max keeps the first
+    return gaps[j], j
 
 
 def bound_log_det_S(n: int, condition_ratio: float) -> tuple[float, EigenProfile]:
@@ -243,21 +234,15 @@ def bound_kl_joint(n: int, condition_ratio: float) -> tuple[float, EigenProfile]
 
         g(j) = (n log1p(-t s) + j log R) / 2,  t = j/n,  s = (R-1)/R,
 
-    concave in j.  Returns the largest g(j) over j = 1..n-1 and its vertex.
+    concave in j, with its maximum over real t at t* = 1/s - 1/log R.  Near
+    R = 1 both terms are near 1/(R-1), so that form loses its digits and
+    can name the wrong vertex; with x = log R and h(y) = expm1(y) - y,
 
-    The two terms of that form cancel.  For s >= 1/8 it locates the
-    argmax, and the three vertices around it are valued in the equal form
+        t* = h(-x) / (x (-expm1(-x))),  from 1/2 at R = 1 to 1 as R -> inf.
 
-        g(j) = (n/2) log1p((1-t) h(t x) + t h(-(1-t) x)),  x = log R,
-
-    with h(y) = expm1(y) - y, whose terms are non-negative.  Near R = 1 the
-    cancellation leaves O(j (R-1)^2), so for s < 1/8 g(j) is summed instead
-    from the series of -log(1 - u) in s = 1 - 1/R, whose terms are all
-    positive:
-
-        g(j) = j (n-j) / (2n) * sum_k A_k t^k,  A_k = sum_{m >= k+2} s^m / m,
-
-    truncated at m = 20, past which the tail is below 2^-55 relative.
+    Returns the largest g(j) over j = floor(n t*) - 1 .. floor(n t*) + 2 in
+    1..n-1, each valued as (n/2) log1p((1-t) h(t x) + t h(-(1-t) x)), whose
+    terms are non-negative, and its vertex; at R = 1 it is 0, at j = 1.
     """
     _check_n_ratio(n, condition_ratio, min_n=2)
     gap, j = _joint_kl(n, condition_ratio)

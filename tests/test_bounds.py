@@ -298,15 +298,20 @@ def _vertex_scan(n: int, ratio: float) -> tuple[float, float]:
 
 def _joint_gap_60_digits(n: int, ratio: float) -> Decimal:
     """max_j g(j), g(j) = (n ln(1 - (j/n)(R-1)/R) + j ln R) / 2, in 60-digit
-    decimal arithmetic from the exact binary value of R.  g is concave, so
-    the integers around its stationary point n (R/(R-1) - 1/ln R) hold the
-    maximum."""
+    decimal arithmetic from the exact binary value of R.  Up to n = 60 every
+    j = 1..n-1 is valued, which checks the argmax independently of the
+    stationary point; above that g is concave, so the integers around its
+    stationary point n (R/(R-1) - 1/ln R) hold the maximum."""
     with localcontext() as ctx:
         ctx.prec = 60
         r = Decimal(ratio)
         shrink, log_r = (r - 1) / r, r.ln()
         stationary = int(n * (1 / shrink - 1 / log_r))
-        candidates = range(max(1, stationary - 1), min(n - 1, stationary + 2) + 1)
+        candidates = (
+            range(1, n)
+            if n <= 60
+            else range(max(1, stationary - 1), min(n - 1, stationary + 2) + 1)
+        )
         return max((n * (1 - j * shrink / n).ln() + j * log_r) / 2 for j in candidates)
 
 
@@ -342,16 +347,24 @@ def test_joint_bound_no_less_accurate_than_vertex_scan():
     assert worst_closed <= worst_scan
 
 
-def test_joint_bound_to_rounding_away_from_unit_ratio():
-    """For (R-1)/R >= 1/8 the joint bound is valued in a form whose terms
-    are all non-negative, so it holds to 8 units of 2^-53 relative; at
-    n = 2, where it equals the separate bound, the two agree within 4 ulps
-    of the bound for every R up to 1e300."""
-    rng = np.random.default_rng(14)
+def test_joint_bound_to_rounding():
+    """The joint bound is valued in a form whose terms are all non-negative,
+    at vertices placed by a maximizer t* computed without cancellation, so
+    it holds to 8 units of 2^-53 relative for R - 1 from 2^-52 to 1/7 and
+    for R from 8/7 to 1e12; at n = 2, where it equals the separate bound,
+    the two agree within 4 ulps of the bound for every R up to 1e300."""
     unit = 2.0**-53
+    near_unit = np.random.default_rng(15)
+    points = [(n, 1.0 + 2.0**-52) for n in (2, 3, 4, 5, 60, 61, 3000)]
+    points += [(n, 8.0 / 7.0) for n in (2, 3, 60, 3000)]
+    for k in range(300):
+        n = int(near_unit.integers(2, 61)) if k % 2 else int(near_unit.integers(2, 3001))
+        points.append((n, 1.0 + float(2.0 ** near_unit.uniform(-52.0, math.log2(1.0 / 7.0)))))
+    rng = np.random.default_rng(14)
     for k in range(300):
         n = int(rng.integers(2, 301)) if k % 2 else int(rng.integers(2, 3001))
-        ratio = float(math.exp(rng.uniform(math.log(8.0 / 7.0), math.log(1e12))))
+        points.append((n, float(math.exp(rng.uniform(math.log(8.0 / 7.0), math.log(1e12))))))
+    for n, ratio in points:
         exact = _joint_gap_60_digits(n, ratio)
         closed, _ = bound_kl_joint(n, ratio)
         assert abs((Decimal(closed) - exact) / exact) <= Decimal(8 * unit), (n, ratio, closed)
