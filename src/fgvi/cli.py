@@ -86,6 +86,17 @@ _JSON_ESCAPES = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"
 _encode_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
+class _SeedError(argparse.ArgumentTypeError, ValueError):
+    """Bad seed: argparse prints it for --seed, main for a config-file seed."""
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise _SeedError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 def _on(subcommands: str, default=None) -> dict:
     return dict.fromkeys(subcommands.split(), default)
 
@@ -114,7 +125,7 @@ _KEYS = {
     "separation": _Key(float, _on("mixture", 10.0), flag=True),
     "sigma": _Key(float, _on("mixture", 1.0), flag=True),
     "weights": _Key(_parse_float_list, _on("mixture", [0.5, 0.5]), flag=True),
-    "seed": _Key(int, _on(_ALL, 0), flag=True, help="PRNG seed (unsigned 64-bit)"),
+    "seed": _Key(_seed, _on(_ALL, 0), flag=True, help="PRNG seed (unsigned 64-bit)"),
     "out": _Key(str, _on(_ALL, "-"), flag=True, help="output path, '-' for stdout"),
     "format": _Key(str, _on(_ALL, "csv"), flag=True, choices=_FORMATS),
     "domain_upper": _Key(float, _on(_GAUSSIAN, 200.0)),
@@ -126,7 +137,6 @@ _KEYS = {
     "tolerance": _Key(float, _on("mixture")),
     "window": _Key(int, _on("mixture")),
     "average_decay": _Key(float, _on("mixture")),
-    "init_jitter": _Key(float, _on("mixture")),
 }
 
 
@@ -386,7 +396,7 @@ def run_sweep(effective: dict) -> tuple[list[str], list[dict], int]:
             "axis": axis,
             "value": value,
             "half_log_det_S": 0.5 * report.log_det_S,
-            "half_log_det_C_inv": -0.5 * report.log_det_C,
+            "half_log_det_C_inv": 0.0 - 0.5 * report.log_det_C,
             "entropy_gap": report.entropy_gap,
             "kl_q_p": report.kl_q_p,
             "condition_number": report.condition_number,

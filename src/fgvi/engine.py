@@ -55,6 +55,10 @@ LogDensityFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 # A fit draws its noise in blocks of up to one window of steps and 2^17 values.
 _NOISE_BLOCK_VALUES = 2**17
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+INIT_JITTER = 0.1
 
 
 class DivergenceError(RuntimeError):
@@ -204,8 +208,8 @@ def mixture_moments(target: MixtureTarget) -> GaussianTarget:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam settings for the stochastic ELBO ascent.  Defaults are the
-    recorded ones; every field can be overridden.
+    """Settings of the stochastic ELBO ascent.  Defaults are the recorded
+    ones; Adam's decays and guard are the module constants ADAM_*.
 
     A fit stops at ``max_steps``, or earlier at a ``window`` boundary on
     one of two rules: the window means of the ELBO estimates change by at
@@ -217,15 +221,11 @@ class OptimizerConfig:
     """
 
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     mc_samples: int = 10
     max_steps: int = 20000
     tolerance: float = 1e-4
     window: int = 200
     average_decay: float = 0.999
-    init_jitter: float = 0.1
     init_mean: np.ndarray | None = None
     seed: int = 0
 
@@ -234,12 +234,8 @@ class OptimizerConfig:
             raise ValueError("mc_samples, max_steps and window must be positive")
         if not (self.learning_rate > 0.0 and self.tolerance >= 0.0):
             raise ValueError("learning_rate must be positive and tolerance non-negative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not 0.0 <= self.average_decay < 1.0:
             raise ValueError("average_decay must lie in [0, 1)")
-        if not self.init_jitter >= 0.0:
-            raise ValueError(f"init_jitter must be non-negative, got {self.init_jitter!r}")
 
 
 @dataclass(frozen=True)
@@ -353,7 +349,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     ``log_density`` maps a batch (m, n) to (values (m,), gradients (m, n))
     and must be finite at the initialization point.  The mean starts at
     ``config.init_mean`` when given, otherwise at a seeded
-    N(0, init_jitter^2) perturbation of the origin; log_std starts at zero.
+    N(0, INIT_JITTER^2) perturbation of the origin; log_std starts at zero.
     Multimodal targets need an initial mean inside a mode's basin of
     attraction (see :func:`mixture_init_mean`); a small perturbation of the
     origin reliably stalls on a broad symmetric solution instead of
@@ -401,7 +397,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
         if init_mean.shape != (n,) or not np.all(np.isfinite(init_mean)):
             raise ValueError(f"init_mean must be a finite vector of length {n}")
     else:
-        init_mean = config.init_jitter * rng.standard_normal(n)
+        init_mean = INIT_JITTER * rng.standard_normal(n)
     # mean and log_std (starting at zero) are views of one parameter vector.
     params = np.concatenate([init_mean, np.zeros(n)])
     mean, log_std = params[:n], params[n:]
@@ -410,8 +406,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     if not np.all(np.isfinite(init_values)):
         raise ValueError("log-density is not finite at the initialization point")
 
-    learning_rate, epsilon = config.learning_rate, config.adam_epsilon
-    beta1, beta2, decay = config.beta1, config.beta2, config.average_decay
+    learning_rate, decay = config.learning_rate, config.average_decay
     samples, window, max_steps = config.mc_samples, config.window, config.max_steps
     block = max(1, min(window, _NOISE_BLOCK_VALUES // (samples * n)))
     first_moment, second_moment, averaged = np.zeros((3, 2 * n))
@@ -447,11 +442,11 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
             trace.append((step, elbo))
             elbo_values[step - 1] = elbo
 
-            first_moment = beta1 * first_moment + (1.0 - beta1) * gradient
-            second_moment = beta2 * second_moment + (1.0 - beta2) * (gradient * gradient)
-            hat_first = first_moment / (1.0 - beta1**step)
-            hat_second = second_moment / (1.0 - beta2**step)
-            params += learning_rate * hat_first / (np.sqrt(hat_second) + epsilon)
+            first_moment = ADAM_BETA1 * first_moment + (1.0 - ADAM_BETA1) * gradient
+            second_moment = ADAM_BETA2 * second_moment + (1.0 - ADAM_BETA2) * (gradient * gradient)
+            hat_first = first_moment / (1.0 - ADAM_BETA1**step)
+            hat_second = second_moment / (1.0 - ADAM_BETA2**step)
+            params += learning_rate * hat_first / (np.sqrt(hat_second) + ADAM_EPSILON)
             averaged = decay * averaged + (1.0 - decay) * params
 
             if step % window == 0:

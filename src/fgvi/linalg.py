@@ -27,10 +27,10 @@ class ConditioningError(ArithmeticError):
         self.column, self.pivot, self.threshold = column, pivot, threshold
 
 
-def spd_cholesky(matrix: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def spd_cholesky(matrix: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    A pivot at or below ``pivot_rtol`` times its own diagonal entry
+    A pivot at or below ``PIVOT_RTOL`` times its own diagonal entry
     ``a[j, j]`` aborts with :class:`ConditioningError` naming the offending
     column, which separates "numerically singular" from merely
     ill-conditioned input independently of how each coordinate is scaled.
@@ -40,12 +40,11 @@ def spd_cholesky(matrix: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarr
     Args:
         matrix: symmetric positive-definite array, shape (n, n).  Only the
             lower triangle is referenced.
-        pivot_rtol: relative pivot threshold.
 
     Returns:
         Lower-triangular factor ``L`` with ``L @ L.T == matrix``.
     """
-    thresholds = pivot_rtol * np.diag(matrix)
+    thresholds = PIVOT_RTOL * np.diag(matrix)
     lower, info = lapack.dpotrf(matrix, lower=1, clean=1)
     pivots = np.diag(lower) ** 2
     if info:

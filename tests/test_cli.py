@@ -139,6 +139,13 @@ def test_sweep_zero_eps_row_is_zero(capsys):
     assert float(first["entropy_gap"]) == 0.0
     assert float(first["half_log_det_S"]) == 0.0
     assert float(first["condition_number"]) == pytest.approx(1.0)
+    # the zero row holds no -0 cell, in either format
+    assert not any(cell.startswith("-") for cell in first.values())
+    _, out = run_cli(
+        "sweep", "--n", "10", "--eps-grid", "0,0.5,0.9", "--format", "json-lines", capsys=capsys
+    )
+    row = json.loads(out.splitlines()[2])
+    assert all(math.copysign(1.0, v) == 1.0 for v in row.values() if not isinstance(v, str))
     # strongly coupled row: gap small relative to shrinkage
     last = records[-1]
     assert float(last["entropy_gap"]) / float(last["half_log_det_S"]) < 0.2
@@ -446,7 +453,6 @@ _ACCEPTED_KEYS = {
         "tolerance",
         "window",
         "average_decay",
-        "init_jitter",
     ),
 }
 _DEFAULTS = {
@@ -492,7 +498,6 @@ _KEY_VALUES = {
     "tolerance": ("0.001", 0.001),
     "window": ("5", 5),
     "average_decay": ("0.9", 0.9),
-    "init_jitter": ("0.2", 0.2),
 }
 
 
@@ -502,6 +507,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert main(["analyze", "--n", "3", "--eps", "0.1", "--config", str(config)]) == 2
     config.write_text("separation six\n")
     assert main(["analyze", "--n", "3", "--eps", "0.1", "--config", str(config)]) == 2
+    config.write_text("init_jitter = 0.2\n")  # no such key: a fit starts at a mixture draw
+    assert main(["mixture", "--config", str(config)]) == 2
 
     assert set(_KEY_VALUES) == set().union(*map(set, _ACCEPTED_KEYS.values()))
     for sub, accepted in _ACCEPTED_KEYS.items():
@@ -534,6 +541,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                 assert [float(v) for v in text.split(",")] == value, key
             else:
                 assert type(value)(text) == value, key
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--n", "3", "--rho", "5"],
+        ["sweep", "--n", "3", "--eps-grid", "0.5"],
+        ["bounds", "--n", "3", "--R-grid", "2"],
+        ["mixture"],
+    ],
+)
+def test_seed_range_checked_for_flags_and_config_files(argv, tmp_path, capsys):
+    config = tmp_path / "seed.cfg"
+    settings = "max_steps = 5\n" if argv[0] == "mixture" else ""
+    message = "seed must be an unsigned 64-bit integer"
+    for seed in (str(2**64), "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--seed", seed])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        config.write_text(f"{settings}seed = {seed}\n")
+        assert main(argv + ["--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}, got {seed}\n"
+    config.write_text(settings)
+    assert main(argv + ["--seed", str(2**64 - 1), "--config", str(config)]) == 0
 
 
 def test_output_file_writing(tmp_path, capsys):

@@ -647,11 +647,7 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(window=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(beta1=1.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(average_decay=1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(init_jitter=-0.1)
 
 
 def test_fit_rejects_bad_init():
