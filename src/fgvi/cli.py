@@ -64,13 +64,17 @@ def _slack(bound: float) -> float:
     return _MEASURE_SLACK * max(1.0, abs(bound))
 
 
+class _BadValueError(argparse.ArgumentTypeError, ValueError):
+    """Bad value: argparse prints its message for a flag, main for a config file."""
+
+
 def _parse_float_list(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         values = []
     if not values:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+        raise _BadValueError(f"expected comma-separated numbers, got {text!r}")
     return values
 
 
@@ -86,14 +90,10 @@ _JSON_ESCAPES = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"
 _encode_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
-class _SeedError(argparse.ArgumentTypeError, ValueError):
-    """Bad seed: argparse prints it for --seed, main for a config-file seed."""
-
-
 def _seed(text: str) -> int:
     seed = int(text)
     if not 0 <= seed < 2**64:
-        raise _SeedError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise _BadValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
@@ -136,7 +136,6 @@ _KEYS = {
     "max_steps": _Key(int, _on("mixture")),
     "tolerance": _Key(float, _on("mixture")),
     "window": _Key(int, _on("mixture")),
-    "average_decay": _Key(float, _on("mixture")),
 }
 
 

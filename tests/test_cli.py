@@ -452,7 +452,6 @@ _ACCEPTED_KEYS = {
         "max_steps",
         "tolerance",
         "window",
-        "average_decay",
     ),
 }
 _DEFAULTS = {
@@ -497,7 +496,6 @@ _KEY_VALUES = {
     "max_steps": ("10", 10),
     "tolerance": ("0.001", 0.001),
     "window": ("5", 5),
-    "average_decay": ("0.9", 0.9),
 }
 
 
@@ -508,6 +506,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     config.write_text("separation six\n")
     assert main(["analyze", "--n", "3", "--eps", "0.1", "--config", str(config)]) == 2
     config.write_text("init_jitter = 0.2\n")  # no such key: a fit starts at a mixture draw
+    assert main(["mixture", "--config", str(config)]) == 2
+    config.write_text("average_decay = 0.9\n")  # no such key: fits return a uniform average
     assert main(["mixture", "--config", str(config)]) == 2
 
     assert set(_KEY_VALUES) == set().union(*map(set, _ACCEPTED_KEYS.values()))
@@ -566,6 +566,27 @@ def test_seed_range_checked_for_flags_and_config_files(argv, tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}, got {seed}\n"
     config.write_text(settings)
     assert main(argv + ["--seed", str(2**64 - 1), "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["sweep", "--n", "3"], "eps_grid", "abc"),
+        (["bounds", "--n", "3"], "R_grid", ","),
+        (["mixture"], "weights", "0.5,x"),
+    ],
+)
+def test_bad_number_list_message_same_for_flag_and_config_file(argv, key, value, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, value])
+    assert exit_info.value.code == 2
+    flag_message = capsys.readouterr().err.partition(f"argument {flag}: ")[2]
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"{key} = {value}\n")
+    assert main(argv + ["--config", str(config)]) == 2
+    config_message = capsys.readouterr().err.removeprefix("error: ")
+    assert flag_message == config_message == f"expected comma-separated numbers, got {value!r}\n"
 
 
 def test_output_file_writing(tmp_path, capsys):
