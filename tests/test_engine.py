@@ -405,7 +405,7 @@ def test_stop_helper_ignores_a_trend():
     assert _drive_stop(windows, config) == (None, 400 * config.window, None)
 
 
-@pytest.mark.parametrize("window", [50, 200])
+@pytest.mark.parametrize("window", [20, 50, 200])
 def test_stop_helper_stops_ten_windows_after_flat_noise(window):
     """Means that wobble by half a standard error mark the ELBO stationary
     at the first comparison, and the fit stops STATIONARY_WINDOWS windows
