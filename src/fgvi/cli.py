@@ -80,7 +80,6 @@ def _parse_float_list(text: str) -> list[float]:
 
 _GAUSSIAN = "analyze sweep bounds"
 _ALL = _GAUSSIAN + " mixture"
-_FORMATS = ("csv", "json-lines")
 # Lines must survive str.splitlines(): CSV metadata writes \ and each line break
 # it splits at as unicode_escape does, JSON strings the three json leaves raw as \u.
 _METADATA_ESCAPES = str.maketrans(
@@ -91,10 +90,19 @@ _encode_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:
+        raise _BadValueError(f"seed must be an unsigned 64-bit integer, got {text!r}") from None
     if not 0 <= seed < 2**64:
         raise _BadValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
+
+
+def _format(text: str) -> str:
+    if text not in ("csv", "json-lines"):
+        raise _BadValueError(f"format must be 'csv' or 'json-lines', got {text!r}")
+    return text
 
 
 def _on(subcommands: str, default=None) -> dict:
@@ -110,7 +118,7 @@ class _Key(NamedTuple):
     defaults: dict
     flag: bool = False
     help: str | None = None
-    choices: tuple | None = None
+    metavar: str | None = None
 
 
 # Flags appear in each subcommand's help in this order, then --config.
@@ -127,7 +135,7 @@ _KEYS = {
     "weights": _Key(_parse_float_list, _on("mixture", [0.5, 0.5]), flag=True),
     "seed": _Key(_seed, _on(_ALL, 0), flag=True, help="PRNG seed (unsigned 64-bit)"),
     "out": _Key(str, _on(_ALL, "-"), flag=True, help="output path, '-' for stdout"),
-    "format": _Key(str, _on(_ALL, "csv"), flag=True, choices=_FORMATS),
+    "format": _Key(_format, _on(_ALL, "csv"), flag=True, metavar="{csv,json-lines}"),
     "domain_upper": _Key(float, _on(_GAUSSIAN, 200.0)),
     "jitter": _Key(float, _on(_GAUSSIAN, 1e-8)),
     # Optimizer settings, config file only; unset ones keep OptimizerConfig's defaults.
@@ -174,9 +182,6 @@ def resolve_config(subcommand: str, flags: dict, config_path: str | None) -> dic
     for name, value in flags.items():
         if value is not None and name in keys:
             effective[name] = value
-    fmt = effective.get("format")
-    if fmt not in _FORMATS:
-        raise ValueError(f"format must be 'csv' or 'json-lines', got {fmt!r}")
     return effective
 
 
@@ -552,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(
                     "--" + name.replace("_", "-"),
                     type=key.coerce,
-                    choices=key.choices,
                     help=key.help,
+                    metavar=key.metavar,
                 )
         sub.add_argument("--config", default=None, help="key = value config file")
     return parser
@@ -566,6 +571,16 @@ def main(argv=None) -> int:
     try:
         effective = resolve_config(args.command, flags, args.config)
         columns, rows, code = _SUBCOMMANDS[args.command][1](effective)
+        metadata = {
+            "tool": "fgvi",
+            "version": __version__,
+            "subcommand": args.command,
+            "config_hash": config_hash(args.command, effective),
+            **{f"config.{key}": _text(effective[key]) for key in sorted(effective)},
+        }
+        # Rendered whole first, so that a refused table leaves no output file.
+        table = io.StringIO()
+        write_table(table, effective["format"], metadata, columns, rows)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -575,22 +590,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"optimizer divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-
-    metadata = {
-        "tool": "fgvi",
-        "version": __version__,
-        "subcommand": args.command,
-        "config_hash": config_hash(args.command, effective),
-        **{f"config.{key}": _text(effective[key]) for key in sorted(effective)},
-    }
-
-    # Rendered whole first, so that a refused table leaves no output file.
-    table = io.StringIO()
-    try:
-        write_table(table, effective["format"], metadata, columns, rows)
-    except NonFiniteOutputError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     out_path = effective.get("out", "-")
     if out_path == "-":
         sys.stdout.write(table.getvalue())

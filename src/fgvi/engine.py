@@ -39,8 +39,6 @@ __all__ = [
     "OptimizerConfig",
     "DivergenceError",
     "ShrinkageComparison",
-    "mixture_log_density",
-    "mixture_log_density_grad",
     "mixture_log_density_fn",
     "gaussian_log_density_fn",
     "mixture_init_mean",
@@ -113,26 +111,10 @@ class MixtureTarget:
         return self.means.shape[0]
 
 
-def _log_density_at(target: MixtureTarget, z: np.ndarray) -> tuple:
-    """(log p, gradient) at one point (n,) or a batch (m, n) of points."""
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    if z.shape[1] != target.n:
-        raise ValueError(f"points have dimension {z.shape[1]}, target has n={target.n}")
-    values, grads = mixture_log_density_fn(target)(z)
-    return (float(values[0]), grads[0]) if single else (values, grads)
-
-
-def mixture_log_density(target: MixtureTarget, z: np.ndarray) -> float | np.ndarray:
-    """log p(z) under the mixture; z is one point (n,) or a batch (m, n)."""
-    return _log_density_at(target, z)[0]
-
-
-def mixture_log_density_grad(target: MixtureTarget, z: np.ndarray) -> np.ndarray:
-    """Gradient of log p at z; same batch semantics as the density."""
-    return _log_density_at(target, z)[1]
+def _check_batch(z: np.ndarray, n: int) -> None:
+    """The one input check of both density closures: z is a batch (m, n)."""
+    if z.ndim != 2 or z.shape[1] != n:
+        raise ValueError(f"points must be a batch of shape (m, {n}), got {z.shape}")
 
 
 def mixture_log_density_fn(target: MixtureTarget) -> LogDensityFn:
@@ -146,6 +128,7 @@ def mixture_log_density_fn(target: MixtureTarget) -> LogDensityFn:
     log_weights = np.log(target.weights) + log_norm
 
     def fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _check_batch(z, target.n)
         diff = z[:, None, :] - means
         terms = log_weights - 0.5 * (diff * diff).sum(axis=2) / var
         top = terms.max(axis=1)
@@ -172,6 +155,7 @@ def gaussian_log_density_fn(target: GaussianTarget) -> LogDensityFn:
     mean = target.mean
 
     def fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _check_batch(z, target.n)
         half = (z - mean) @ whiten.T
         return norm - 0.5 * (half * half).sum(axis=1), -half @ whiten
 
@@ -409,7 +393,6 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     samples, window, max_steps = config.mc_samples, config.window, config.max_steps
     block = max(1, min(window, _NOISE_BLOCK_VALUES // (samples * n)))
     first_moment, second_moment, total = np.zeros((3, 2 * n))
-    trace: list[tuple[int, float]] = []
     elbo_values = np.empty(max_steps)
     previous: tuple[float, float] | None = None
     stationary_since: int | None = None
@@ -434,13 +417,11 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
             # A scale that underflows leaves the ELBO finite but the path
             # gradient, through u / sigma, infinite.
             if not (math.isfinite(elbo) and math.isfinite(gradient.sum())):
-                state = VariationalState(
-                    mean.copy(), log_std.copy(), step, tuple(trace), "diverged"
-                )
+                trace = tuple(zip(range(1, step), elbo_values[: step - 1].tolist()))
+                state = VariationalState(mean.copy(), log_std.copy(), step, trace, "diverged")
                 raise DivergenceError(
                     f"ELBO or its gradient became non-finite at step {step}", step, state
                 )
-            trace.append((step, elbo))
             elbo_values[step - 1] = elbo
 
             first_moment = ADAM_BETA1 * first_moment + (1.0 - ADAM_BETA1) * gradient
@@ -466,7 +447,8 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
                 previous = current
 
     averaged = total / (step - average_from + 1)
-    return VariationalState(averaged[:n], averaged[n:], step, tuple(trace), stop_reason)
+    trace = tuple(zip(range(1, step + 1), elbo_values[:step].tolist()))
+    return VariationalState(averaged[:n], averaged[n:], step, trace, stop_reason)
 
 
 class ShrinkageComparison(NamedTuple):

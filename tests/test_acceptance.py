@@ -131,7 +131,7 @@ def test_criterion_3_gap_equals_kl_by_independent_paths():
     ok = worst <= 1e-9
     assert acceptance_log.record(
         3,
-        f"entropy gap equals KL(q||p) via independent code paths on "
+        f"entropy gap equals KL(q||p) via the entropy and trace-identity sums on "
         f"{4 * CORPUS_COUNT} targets (worst {worst:.2e}, tol 1e-9)",
         ok,
     ), f"worst |gap - KL| / max(1, KL) = {worst:.3e}"

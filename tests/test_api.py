@@ -46,8 +46,6 @@ _PUBLIC = {
     "OptimizerConfig",
     "DivergenceError",
     "ShrinkageComparison",
-    "mixture_log_density",
-    "mixture_log_density_grad",
     "mixture_log_density_fn",
     "gaussian_log_density_fn",
     "mixture_init_mean",
@@ -60,7 +58,7 @@ _PUBLIC = {
 
 
 def test_public_names():
-    assert len(_PUBLIC) == 47
+    assert len(_PUBLIC) == 45
     assert set(fgvi.__all__) == _PUBLIC
     assert len(fgvi.__all__) == len(set(fgvi.__all__))
     for name in fgvi.__all__:

@@ -556,14 +556,16 @@ def test_seed_range_checked_for_flags_and_config_files(argv, tmp_path, capsys):
     config = tmp_path / "seed.cfg"
     settings = "max_steps = 5\n" if argv[0] == "mixture" else ""
     message = "seed must be an unsigned 64-bit integer"
-    for seed in (str(2**64), "-1"):
+    # Integer seeds are shown as numbers, other text quoted.
+    seeds = ((str(2**64), str(2**64)), ("-1", "-1"), ("abc", "'abc'"), ("1.5", "'1.5'"))
+    for seed, shown in seeds:
         with pytest.raises(SystemExit) as exit_info:
             main(argv + ["--seed", seed])
         assert exit_info.value.code == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"argument --seed: {message}, got {shown}\n")
         config.write_text(f"{settings}seed = {seed}\n")
         assert main(argv + ["--config", str(config)]) == 2
-        assert capsys.readouterr().err == f"error: {message}, got {seed}\n"
+        assert capsys.readouterr().err == f"error: {message}, got {shown}\n"
     config.write_text(settings)
     assert main(argv + ["--seed", str(2**64 - 1), "--config", str(config)]) == 0
 
@@ -589,6 +591,19 @@ def test_bad_number_list_message_same_for_flag_and_config_file(argv, key, value,
     assert flag_message == config_message == f"expected comma-separated numbers, got {value!r}\n"
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--n", "3", "--eps", "0.5"], ["mixture"]])
+def test_bad_format_message_same_for_flag_and_config_file(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--format", "xml"])
+    assert exit_info.value.code == 2
+    flag_message = capsys.readouterr().err.partition("argument --format: ")[2]
+    config = tmp_path / "format.cfg"
+    config.write_text("format = xml\n")
+    assert main(argv + ["--config", str(config)]) == 2
+    config_message = capsys.readouterr().err.removeprefix("error: ")
+    assert flag_message == config_message == "format must be 'csv' or 'json-lines', got 'xml'\n"
+
+
 def test_output_file_writing(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code, out = run_cli(
@@ -610,6 +625,40 @@ def test_invalid_input_exit_codes():
     assert main(["analyze", "--eps", "0.5"]) == 2
     assert main(["analyze", "--n", "4", "--eps", "1.5"]) == 2
     assert main(["analyze", "--n", "0", "--eps", "0.5"]) == 2
+
+
+def test_config_file_comments_and_blank_lines(tmp_path, capsys):
+    config = tmp_path / "commented.cfg"
+    config.write_text("# only a comment\n\n   \n  # indented comment\n")
+    assert resolve_config("analyze", {}, str(config)) == resolve_config("analyze", {}, None)
+    config.write_text("# seed below\n\nseed = 7  # trailing comment\n\n")
+    assert resolve_config("analyze", {}, str(config))["seed"] == 7
+    argv = ["analyze", "--n", "2", "--eps", "0.5", "--config", str(config)]
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["config.seed"] == "7"
+
+
+def test_input_error_messages(tmp_path, capsys):
+    two_tokens = tmp_path / "two_tokens.txt"
+    two_tokens.write_text("2 2\n1 0\n0 1\n")
+    empty = tmp_path / "empty_matrix.txt"
+    empty.write_text("0\n")
+    absent = tmp_path / "absent.cfg"
+    cases = [
+        (["analyze", "--n", "2", "--eps", "0.5", "--config", str(absent)],
+         f"error: cannot read config file {absent}: "),
+        (["analyze", "--matrix-file", str(two_tokens)],
+         f"error: {two_tokens}: first line must hold the dimension n alone\n"),
+        (["analyze", "--matrix-file", str(empty)],
+         f"error: {empty}: dimension must be >= 1, got 0\n"),
+        (["mixture", "--n", "0"], "error: n must be >= 1, got 0\n"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(message) and len(err.splitlines()) == 1, err
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -18,9 +18,7 @@ from fgvi.engine import (
     gaussian_log_density_fn,
     max_entropy_gap_bound,
     mixture_init_mean,
-    mixture_log_density,
     mixture_log_density_fn,
-    mixture_log_density_grad,
     mixture_moments,
     shrinkage_comparison,
 )
@@ -95,7 +93,7 @@ def test_single_component_density_matches_scipy():
     expected = stats.multivariate_normal(
         mean=target.means[0], cov=1.7 * np.eye(3)
     ).logpdf(points)
-    values = np.array([mixture_log_density(target, z) for z in points])
+    values, _ = mixture_log_density_fn(target)(points)
     assert np.allclose(values, expected, rtol=1e-12)
 
 
@@ -106,7 +104,8 @@ def test_midpoint_of_symmetric_mixture():
     single = stats.multivariate_normal(mean=target.means[0], cov=np.eye(2)).logpdf(
         midpoint
     )
-    assert mixture_log_density(target, midpoint) == pytest.approx(single, rel=1e-12)
+    values, _ = mixture_log_density_fn(target)(midpoint[None, :])
+    assert values[0] == pytest.approx(single, rel=1e-12)
 
 
 def test_density_batch_matches_single_point():
@@ -137,13 +136,14 @@ def test_density_batch_matches_single_point():
                 for r, z in zip(resp, batch)
             ]
         )
-        values, grads = mixture_log_density_fn(target)(batch)
+        density = mixture_log_density_fn(target)
+        values, grads = density(batch)
         assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
         assert np.allclose(grads, expected_grads, rtol=1e-12, atol=1e-12)
         for i, z in enumerate(batch):
-            assert mixture_log_density(target, z) == pytest.approx(expected[i], rel=1e-12)
-            grad = mixture_log_density_grad(target, z)
-            assert np.allclose(grad, expected_grads[i], rtol=1e-12, atol=1e-12)
+            value, grad = density(z[None, :])
+            assert value[0] == pytest.approx(expected[i], rel=1e-12)
+            assert np.allclose(grad[0], expected_grads[i], rtol=1e-12, atol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
@@ -152,19 +152,28 @@ def test_gradient_matches_finite_differences():
         means=np.array([[-4.0, 0.0], [1.0, 1.0], [5.0, -3.0]]),
         component_variance=0.8,
     )
+    density = mixture_log_density_fn(target)
     rng = np.random.default_rng(4)
     h = 1e-5
     for _ in range(100):
         z = rng.normal(scale=3.0, size=2)
-        grad = mixture_log_density_grad(target, z)
+        # Rows: z, then z + h e_i for each i, then z - h e_i for each i.
+        values, grads = density(np.vstack([z, z + h * np.eye(2), z - h * np.eye(2)]))
+        numeric = (values[1:3] - values[3:5]) / (2 * h)
         for i in range(2):
-            bump = np.zeros(2)
-            bump[i] = h
-            numeric = (
-                mixture_log_density(target, z + bump)
-                - mixture_log_density(target, z - bump)
-            ) / (2 * h)
-            assert grad[i] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+            assert grads[0, i] == pytest.approx(numeric[i], rel=1e-5, abs=1e-8)
+
+
+def test_density_closures_refuse_batches_of_another_dimension():
+    # A (4, 1) batch would broadcast against n >= 2 and yield (4, n) values
+    # for points that do not exist.
+    gaussian = gaussian_log_density_fn(random_spd_target(3, np.random.default_rng(5)))
+    mixture = mixture_log_density_fn(_default_mixture())
+    for density, n in ((gaussian, 3), (mixture, 2)):
+        density(np.zeros((4, n)))
+        for shape in ((4, 1), (4, n + 1), (n,), (1, 1, n)):
+            with pytest.raises(ValueError, match=rf"batch of shape \(m, {n}\)"):
+                density(np.zeros(shape))
 
 
 def test_moments_single_component():
