@@ -74,10 +74,6 @@ class EigenProfile:
             raise ValueError(f"eigenvalues must sum to n={n}, got {total!r}")
         object.__setattr__(self, "values", v)
 
-    @property
-    def n(self) -> int:
-        return self.values.size
-
 
 class TraceShrinkageBounds(NamedTuple):
     lower: float
@@ -86,9 +82,9 @@ class TraceShrinkageBounds(NamedTuple):
     upper_profile: EigenProfile
 
 
-def _check_n_ratio(n: int, condition_ratio: float, min_n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < min_n:
-        raise ValueError(f"n must be an integer >= {min_n}, got {n!r}")
+def _check_n_ratio(n: int, condition_ratio: float) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     if not (math.isfinite(condition_ratio) and condition_ratio >= 1.0):
         raise ValueError(f"condition ratio must be finite and >= 1, got {condition_ratio!r}")
 
@@ -172,7 +168,7 @@ def bound_log_det_S(n: int, condition_ratio: float) -> tuple[float, EigenProfile
     sum(1/lambda_i), the upper trace bound; returns the bound and the
     profile attaining F.
     """
-    _check_n_ratio(n, condition_ratio, min_n=2)
+    _check_n_ratio(n, condition_ratio)
     return _upper_log_det_S(n, condition_ratio), _vertex(n, condition_ratio, n // 2)
 
 
@@ -184,9 +180,7 @@ def bound_log_det_C(n: int, condition_ratio: float) -> tuple[float, EigenProfile
     sum to 2.  The bound is log(4R/(1+R)^2) = -log1p((R-1)^2/(4R)), never
     positive and exactly zero at R = 1.
     """
-    _check_n_ratio(n, condition_ratio, min_n=1)
-    if n == 1:
-        return 0.0, _profile(1.0, (1.0,), (1,))
+    _check_n_ratio(n, condition_ratio)
     ratio = condition_ratio
     lam_n = 2.0 / (1.0 + ratio)
     profile = _profile(ratio, (ratio * lam_n, 1.0, lam_n), (1, n - 2, 1))
@@ -207,7 +201,7 @@ def bound_trace_S(n: int, condition_ratio: float) -> TraceShrinkageBounds:
 
     At n == 2 the class holds one profile, and both bounds are its value.
     """
-    _check_n_ratio(n, condition_ratio, min_n=2)
+    _check_n_ratio(n, condition_ratio)
     ratio = condition_ratio
     upper = _upper_trace_S(n, ratio)
     upper_profile = _vertex(n, ratio, n // 2)
@@ -244,7 +238,7 @@ def bound_kl_joint(n: int, condition_ratio: float) -> tuple[float, EigenProfile]
     1..n-1, each valued as (n/2) log1p((1-t) h(t x) + t h(-(1-t) x)), whose
     terms are non-negative, and its vertex; at R = 1 it is 0, at j = 1.
     """
-    _check_n_ratio(n, condition_ratio, min_n=2)
+    _check_n_ratio(n, condition_ratio)
     gap, j = _joint_kl(n, condition_ratio)
     return gap, _vertex(n, condition_ratio, j)
 
@@ -305,7 +299,7 @@ class BoundsReport:
 
 def bounds_report(n: int, condition_ratio: float) -> BoundsReport:
     """Every bound at one (n, condition ratio) point, values only."""
-    _check_n_ratio(n, condition_ratio, min_n=2)
+    _check_n_ratio(n, condition_ratio)
     ratio = condition_ratio
     upper_trace = _upper_trace_S(n, ratio)
     return BoundsReport(

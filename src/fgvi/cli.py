@@ -46,6 +46,7 @@ from .generators import (
     ConstantOffDiagConfig,
     GenerationError,
     KernelConfig,
+    _check_seed,
     constant_offdiag_target,
     squared_exponential_target,
 )
@@ -93,10 +94,11 @@ def _seed(text: str) -> int:
     try:
         seed = int(text)
     except ValueError:
-        raise _BadValueError(f"seed must be an unsigned 64-bit integer, got {text!r}") from None
-    if not 0 <= seed < 2**64:
-        raise _BadValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+        seed = text  # refused, quoted, by _check_seed
+    try:
+        return _check_seed(seed)
+    except ValueError as exc:
+        raise _BadValueError(*exc.args) from None
 
 
 def _format(text: str) -> str:
@@ -136,7 +138,6 @@ _KEYS = {
     "seed": _Key(_seed, _on(_ALL, 0), flag=True, help="PRNG seed (unsigned 64-bit)"),
     "out": _Key(str, _on(_ALL, "-"), flag=True, help="output path, '-' for stdout"),
     "format": _Key(_format, _on(_ALL, "csv"), flag=True, metavar="{csv,json-lines}"),
-    "domain_upper": _Key(float, _on(_GAUSSIAN, 200.0)),
     "jitter": _Key(float, _on(_GAUSSIAN, 1e-8)),
     # Optimizer settings, config file only; unset ones keep OptimizerConfig's defaults.
     "learning_rate": _Key(float, _on("mixture")),
@@ -315,13 +316,7 @@ def _family_target(effective: dict, axis: str, value: float) -> GaussianTarget:
     if axis == "eps":
         return constant_offdiag_target(ConstantOffDiagConfig(n=n, eps=value))
     return squared_exponential_target(
-        KernelConfig(
-            n=n,
-            rho=value,
-            seed=effective["seed"],
-            domain_upper=effective["domain_upper"],
-            jitter=effective["jitter"],
-        )
+        KernelConfig(n=n, rho=value, seed=effective["seed"], jitter=effective["jitter"])
     )
 
 

@@ -31,6 +31,7 @@ from .gaussian import (
     fgvi_solve,
     shrinkage_matrix,
 )
+from .generators import _check_seed
 from .linalg import log_det_from_cholesky, lower_inverse
 
 __all__ = [
@@ -173,7 +174,7 @@ def mixture_init_mean(target: MixtureTarget, seed: int) -> np.ndarray:
     gradient cancels by symmetry, and once the approximation widens enough
     to cover both modes the symmetric point becomes locally stable.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     k = rng.choice(target.components, p=target.weights)
     scale = math.sqrt(target.component_variance)
     return target.means[k] + scale * rng.standard_normal(target.n)
@@ -216,6 +217,7 @@ class OptimizerConfig:
             raise ValueError("mc_samples, max_steps and window must be positive")
         if not (self.learning_rate > 0.0 and self.tolerance >= 0.0):
             raise ValueError("learning_rate must be positive and tolerance non-negative")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -195,10 +195,6 @@ class CorrelationMatrix:
         spd_cholesky(c)  # the positive-definite check; the factor is not kept
         object.__setattr__(self, "entries", c)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class ShrinkageMatrix:
@@ -213,10 +209,6 @@ class ShrinkageMatrix:
         if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
             raise ValueError("shrinkage ratios must be finite and positive")
         object.__setattr__(self, "diagonal", d)
-
-    @property
-    def n(self) -> int:
-        return self.diagonal.size
 
     @property
     def trace(self) -> float:

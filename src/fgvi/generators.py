@@ -13,6 +13,7 @@ reproduces every matrix bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,20 +42,22 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class KernelConfig:
     """Configuration of the squared-exponential family.
 
-    ``n`` inputs are drawn uniformly from (0, domain_upper); the covariance
-    is Sigma_ij = exp(-(x_i - x_j)^2 / rho^2) plus ``jitter`` on the
-    diagonal.  Small rho gives near-independent coordinates, large rho a
-    nearly singular, highly correlated matrix.
+    ``n`` inputs are drawn uniformly from (0, 200); the covariance is
+    Sigma_ij = exp(-(x_i - x_j)^2 / rho^2) plus ``jitter`` on the diagonal.
+    Only rho / 200 shapes the kernel, so a wider domain would build no
+    target that another rho does not.  Small rho gives near-independent
+    coordinates, large rho a nearly singular, highly correlated matrix.
     """
+
+    domain_upper: ClassVar[float] = 200.0
 
     n: int
     rho: float
     seed: int
-    domain_upper: float = 200.0
     jitter: float = 1e-8
 
     def __post_init__(self):
@@ -62,8 +65,6 @@ class KernelConfig:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not self.rho > 0.0:
             raise ValueError(f"rho must be positive, got {self.rho!r}")
-        if not self.domain_upper > 0.0:
-            raise ValueError(f"domain_upper must be positive, got {self.domain_upper!r}")
         if self.jitter < 0.0:
             raise ValueError(f"jitter must be non-negative, got {self.jitter!r}")
         _check_seed(self.seed)

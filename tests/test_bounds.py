@@ -131,10 +131,14 @@ def test_two_dimensional_delinkage_special_case():
         assert np.allclose(profile.values, [2 * ratio / (1 + ratio), 2 / (1 + ratio)])
 
 
-def test_one_dimensional_delinkage_is_zero():
-    value, profile = bound_log_det_C(1, 7.0)
-    assert value == 0.0
-    assert np.array_equal(profile.values, np.ones(1))
+def test_one_dimensional_class_is_refused():
+    # A ratio-R class of n = 1 spectra is empty for every R > 1, so every
+    # bound refuses n = 1, with one message.
+    bounds = (bound_log_det_S, bound_log_det_C, bound_trace_S, bound_kl_joint, bounds_report)
+    for bound in bounds:
+        for ratio in (1.0, 7.0):
+            with pytest.raises(ValueError, match="^n must be an integer >= 2, got 1$"):
+                bound(1, ratio)
 
 
 # ------------------------------------------------------- oracle spot checks

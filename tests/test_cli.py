@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -311,6 +312,78 @@ def test_byte_identical_reruns(tmp_path):
         assert contents[0] == contents[1]
 
 
+# The exit code and sha256 of stdout for each argument list, recorded after
+# the kernel-domain key left the CLI.  A change that moves output on purpose
+# re-records these and names the lists that moved; any other change must
+# leave every byte in place.
+PINNED_OUTPUTS = {
+    "analyze_eps_csv": (
+        "analyze --n 4 --eps 0.5",
+        0,
+        "b1f0da11e2ea283ed014a2bb7987f5b547cd6feb05c2ebd76c33823518193b9c",
+    ),
+    "analyze_eps_json": (
+        "analyze --n 3 --eps 0.4 --format json-lines",
+        0,
+        "efd3141249b627a6644d3c8910f7c1e83bb83027b67789018f152c7ef8d3cd76",
+    ),
+    "analyze_rho_json": (
+        "analyze --n 10 --rho 30 --seed 12 --format json-lines",
+        0,
+        "5d40479c674757224280d2a9c098849c1de96a9aa5cef21f8f523fe54f191e09",
+    ),
+    "sweep_eps_csv": (
+        "sweep --n 16 --eps-grid 0.1,0.3,0.5,0.7,0.9",
+        0,
+        "7b7b570ca3bd9d4e6a2f56c264ff6df49e852243ff2160aee1bec008ad96ba21",
+    ),
+    "sweep_rho_json": (
+        "sweep --n 12 --rho-grid 1,5,25,125 --format json-lines",
+        0,
+        "e17fa6991a9b431b0ecd53446720c8eeeec675384a2d63f844dfba02086e791f",
+    ),
+    "bounds_eps_csv": (
+        "bounds --n 10 --R-grid 2,10,50 --eps-grid 0.3,0.6",
+        0,
+        "68b6e67e2ecffcea03efdea915a5033aff9183b989516ab2b75af8134ce2db5b",
+    ),
+    "bounds_rho_json": (
+        "bounds --n 8 --R-grid 2,40 --rho-grid 3,30 --seed 5 --format json-lines",
+        0,
+        "baa687b1d36c1e017cad9e50dbab27b266356b4ca28e9cd19992f9759a6ab8b1",
+    ),
+    "bounds_envelope_csv": (
+        "bounds --n 5 --R-grid 1,1e160",
+        0,
+        "e9fdf20e0ec39347e795080938c789ccb521566bc94d61b70e460e0b2ea7d541",
+    ),
+    # Exit 3 writes nothing: the hash of the empty string.
+    "bounds_overflow": (
+        "bounds --n 100 --R-grid 1e307",
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "mixture_csv": (
+        "mixture --separation 10 --seed 0",
+        0,
+        "0ee02145f5033308196a535d4caccea502c7ecbd5913a4222c7cc27baa410255",
+    ),
+    "mixture_one_component_json": (
+        "mixture --n 2 --weights 1 --seed 1 --format json-lines",
+        0,
+        "9aa3060c1d504ce15d2fcda9e4af591001af2caa57f8f7d95b96169382545a70",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_cli_output_is_pinned(name, capsys):
+    args, expected_code, digest = PINNED_OUTPUTS[name]
+    code, out = run_cli(*args.split(), capsys=capsys)
+    assert code == expected_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
@@ -438,9 +511,9 @@ _COMMON_KEYS = ("seed", "out", "format")
 # Reference: the config keys each subcommand accepts, its defaults and its
 # flags, written out independently of the CLI's own key table.
 _ACCEPTED_KEYS = {
-    "analyze": _COMMON_KEYS + ("n", "eps", "rho", "matrix_file", "domain_upper", "jitter"),
-    "sweep": _COMMON_KEYS + ("n", "eps_grid", "rho_grid", "domain_upper", "jitter"),
-    "bounds": _COMMON_KEYS + ("n", "R_grid", "eps_grid", "rho_grid", "domain_upper", "jitter"),
+    "analyze": _COMMON_KEYS + ("n", "eps", "rho", "matrix_file", "jitter"),
+    "sweep": _COMMON_KEYS + ("n", "eps_grid", "rho_grid", "jitter"),
+    "bounds": _COMMON_KEYS + ("n", "R_grid", "eps_grid", "rho_grid", "jitter"),
     "mixture": _COMMON_KEYS
     + (
         "n",
@@ -455,9 +528,9 @@ _ACCEPTED_KEYS = {
     ),
 }
 _DEFAULTS = {
-    "analyze": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
-    "sweep": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
-    "bounds": {"seed": 0, "out": "-", "format": "csv", "domain_upper": 200.0, "jitter": 1e-8},
+    "analyze": {"seed": 0, "out": "-", "format": "csv", "jitter": 1e-8},
+    "sweep": {"seed": 0, "out": "-", "format": "csv", "jitter": 1e-8},
+    "bounds": {"seed": 0, "out": "-", "format": "csv", "jitter": 1e-8},
     "mixture": {
         "seed": 0,
         "out": "-",
@@ -483,7 +556,6 @@ _KEY_VALUES = {
     "seed": ("7", 7),
     "out": ("-", "-"),
     "format": ("json-lines", "json-lines"),
-    "domain_upper": ("50", 50.0),
     "jitter": ("1e-6", 1e-6),
     "eps_grid": ("0.1,0.2", [0.1, 0.2]),
     "rho_grid": ("1, 2", [1.0, 2.0]),
@@ -509,6 +581,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert main(["mixture", "--config", str(config)]) == 2
     config.write_text("average_decay = 0.9\n")  # no such key: fits return a uniform average
     assert main(["mixture", "--config", str(config)]) == 2
+    config.write_text("domain_upper = 50\n")  # no such key: only rho / 200 shapes a kernel
+    for sub, argv in (("analyze", ["--eps", "0.1"]), ("sweep", ["--eps-grid", "0.1"])):
+        assert main([sub, "--n", "3", *argv, "--config", str(config)]) == 2
+    assert main(["bounds", "--n", "3", "--R-grid", "2", "--config", str(config)]) == 2
 
     assert set(_KEY_VALUES) == set().union(*map(set, _ACCEPTED_KEYS.values()))
     for sub, accepted in _ACCEPTED_KEYS.items():

@@ -727,6 +727,18 @@ def test_optimizer_config_validation():
         OptimizerConfig(window=0)
 
 
+def test_seed_range_checked_by_both_engine_entry_points():
+    """The generators' seed rule, and its message, hold for the engine too."""
+    target = _default_mixture()
+    for seed, shown in ((2**64, str(2**64)), (-1, "-1"), (1.5, "1.5")):
+        message = f"^seed must be an unsigned 64-bit integer, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(seed=seed)
+        with pytest.raises(ValueError, match=message):
+            mixture_init_mean(target, seed)
+    OptimizerConfig(seed=2**64 - 1)
+
+
 def test_fit_rejects_bad_init():
     density = gaussian_log_density_fn(
         GaussianTarget(mean=np.zeros(2), covariance=np.eye(2))

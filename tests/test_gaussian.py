@@ -332,6 +332,27 @@ def test_gap_equals_kl_on_random_targets():
         )
 
 
+def test_kl_matches_dense_divergence():
+    """kl_q_p against KL(q || p) of the fitted q, with Sigma^-1 and
+    log|Sigma| from dense numpy, not from the target's factor:
+
+        KL = (sum_i (Sigma^-1)_ii Psi_ii - n + log|Sigma| - sum_i log Psi_ii) / 2.
+
+    The gap-equals-KL check cannot see an error in the shrinkage diagonal,
+    which moves both sides alike; this one can."""
+    worst = 0.0
+    for n in (2, 5, 20, 100):
+        for target in target_corpus(n, 500):
+            psi = fgvi_solve(target).variances
+            sign, log_det_sigma = np.linalg.slogdet(target.covariance)
+            assert sign == 1.0
+            trace = float(np.diag(np.linalg.inv(target.covariance)) @ psi)
+            dense = 0.5 * (trace - n + log_det_sigma - float(np.sum(np.log(psi))))
+            kl = decompose(target).kl_q_p
+            worst = max(worst, abs(kl - dense) / max(1.0, abs(dense)))
+    assert worst <= 1e-9, worst
+
+
 def test_decompose_rejects_non_positive_correlation_eigenvalue():
     # An unjittered kernel matrix whose factor passes the pivot test but
     # whose smallest computed eigenvalue is negative: the condition number

@@ -25,6 +25,9 @@ def test_kernel_config_validation():
         KernelConfig(n=4, rho=1.0, seed=2**64)
     with pytest.raises(ValueError):
         KernelConfig(n=4, rho=1.0, seed=0, jitter=-1e-9)
+    # Keywords only, so a call written for an older field order fails.
+    with pytest.raises(TypeError):
+        KernelConfig(4, 1.0, 0)
 
 
 def test_constant_offdiag_config_validation():
