@@ -14,15 +14,13 @@ x = log R and h(y) = expm1(y) - y, a ratio of non-negative parts.
 
 Each envelope value has one scalar helper, and bounds_report calls only
 those: it builds no spectrum.  One helper, _profile, builds every
-maximizing spectrum, for the bound_* functions and for a report's
-``maximizers``, which are built on first read.
+maximizing spectrum, and only the bound_* functions call it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -249,9 +247,8 @@ class BoundsReport:
 
     Every bound is finite (else OverflowError), the joint KL bound never
     exceeds the sum of the two separate ones, and the correlation bound is
-    at most 0.  ``maximizers`` maps each bound name to the profile attaining
-    it; it is built from the bound_* functions on first read and then kept,
-    so a report nobody inspects builds no profile.
+    at most 0.  It holds values only; the bound_* functions give the
+    profile attaining each bound.
     """
 
     n: int
@@ -282,19 +279,6 @@ class BoundsReport:
     def separate_kl_upper(self) -> float:
         """Gap bound obtained by adding the two separate envelopes."""
         return 0.5 * self.upper_log_det_S + 0.5 * self.upper_log_det_C
-
-    @cached_property
-    def maximizers(self) -> dict[str, EigenProfile]:
-        """Bound name -> attaining profile; log_det_S shares trace_S_upper's."""
-        n, ratio = self.n, self.condition_ratio
-        trace = bound_trace_S(n, ratio)
-        return {
-            "log_det_S": trace.upper_profile,
-            "log_det_C": bound_log_det_C(n, ratio)[1],
-            "trace_S_lower": trace.lower_profile,
-            "trace_S_upper": trace.upper_profile,
-            "kl_joint": bound_kl_joint(n, ratio)[1],
-        }
 
 
 def bounds_report(n: int, condition_ratio: float) -> BoundsReport:

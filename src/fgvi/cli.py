@@ -38,7 +38,6 @@ from .engine import (
     max_entropy_gap_bound,
     mixture_init_mean,
     mixture_log_density_fn,
-    mixture_moments,
     shrinkage_comparison,
 )
 from .gaussian import GaussianTarget, decompose, fgvi_solve, shrinkage_matrix
@@ -499,7 +498,6 @@ def run_mixture(effective: dict) -> tuple[list[str], list[dict], int]:
     config = OptimizerConfig(init_mean=mixture_init_mean(target, effective["seed"]), **settings)
     fitted = fit_fgvi(mixture_log_density_fn(target), target.n, config)
     comparison = shrinkage_comparison(target, fitted)
-    moments = mixture_moments(target)
 
     rows = _named_rows(
         "summary",
@@ -508,14 +506,14 @@ def run_mixture(effective: dict) -> tuple[list[str], list[dict], int]:
             "components": target.components,
             "trace_S": comparison.trace_S,
             "trace_S_G": comparison.trace_S_G,
-            "max_entropy_gap_bound": max_entropy_gap_bound(moments, fitted),
+            "max_entropy_gap_bound": max_entropy_gap_bound(comparison.moments, fitted),
             "mean_log_shrinkage": comparison.S.log_det / target.n,
             "step_count": fitted.step_count,
         },
     )
     rows += _coordinate_rows(
         {
-            "sigma_ii": np.diag(moments.covariance),
+            "sigma_ii": np.diag(comparison.moments.covariance),
             "psi_ii": fitted.variances,
             "s_ii": comparison.S.diagonal,
             "s_g_ii": comparison.S_G.diagonal,

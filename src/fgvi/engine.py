@@ -458,6 +458,7 @@ class ShrinkageComparison(NamedTuple):
     S_G: ShrinkageMatrix
     trace_S: float
     trace_S_G: float
+    moments: GaussianTarget
 
 
 def shrinkage_comparison(target: MixtureTarget, fitted: VariationalState) -> ShrinkageComparison:
@@ -469,12 +470,13 @@ def shrinkage_comparison(target: MixtureTarget, fitted: VariationalState) -> Shr
     Gaussian with the mixture's own moments.  On well-separated mixtures
     the fit collapses onto one component, so trace(S) far exceeds
     trace(S_G).  ``fitted`` should be the state of a completed fit.
+    ``moments`` is the mixture's moment-matched target, built once here.
     """
     moments = mixture_moments(target)
     s = shrinkage_matrix(moments, fitted.as_factorized())
     s_gaussian = shrinkage_matrix(moments, fgvi_solve(moments))
     return ShrinkageComparison(
-        S=s, S_G=s_gaussian, trace_S=s.trace, trace_S_G=s_gaussian.trace
+        S=s, S_G=s_gaussian, trace_S=s.trace, trace_S_G=s_gaussian.trace, moments=moments
     )
 
 
@@ -482,10 +484,10 @@ def max_entropy_gap_bound(target_cov: GaussianTarget, fitted: VariationalState) 
     """Entropy gap of a fit against the maximum-entropy Gaussian with the
     target's covariance: (log|Sigma| - sum(2 * log_std)) / 2.
 
-    Because the Gaussian maximizes entropy at fixed covariance, this is a
-    lower bound on the entropy deficit of the fit against any density with
-    those second moments.  Equals the exact entropy gap when ``fitted``
-    carries the closed-form variances for ``target_cov``.
+    Because the Gaussian maximizes entropy at fixed covariance, this is an
+    upper bound on the entropy deficit H(p) - H(q) of the fit against any
+    density p with those second moments.  Equals the exact entropy gap when
+    ``fitted`` carries the closed-form variances for ``target_cov``.
     """
     if fitted.n != target_cov.n:
         raise ValueError(

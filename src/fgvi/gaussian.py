@@ -176,24 +176,10 @@ class FactorizedGaussian:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """A correlation matrix: unit diagonal, positive definite, |C_ij| < 1."""
+    """A correlation matrix: unit diagonal, positive definite, |C_ij| < 1.
+    A plain record; GaussianTarget is what validates and factors a matrix."""
 
     entries: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.entries, dtype=float)
-        c = _check_square_symmetric(c, "correlation matrix")
-        if not np.all(np.diag(c) == 1.0):
-            i = int(np.flatnonzero(np.diag(c) != 1.0)[0])
-            raise ValueError(f"diagonal entry {i} is {c[i, i]!r}, must be exactly 1.0")
-        off = np.abs(c - np.diag(np.diag(c)))
-        if np.any(off >= 1.0):
-            i, j = np.unravel_index(int(np.argmax(off)), c.shape)
-            raise ValueError(
-                f"off-diagonal correlation ({i},{j}) has magnitude {off[i, j]!r} >= 1"
-            )
-        spd_cholesky(c)  # the positive-definite check; the factor is not kept
-        object.__setattr__(self, "entries", c)
 
 
 @dataclass(frozen=True)
@@ -274,10 +260,7 @@ def correlation_from_covariance(target: GaussianTarget) -> CorrelationMatrix:
 
     The diagonal is set to exactly 1 rather than recomputed.
     """
-    # C was validated and factored when the target was built.
-    corr = object.__new__(CorrelationMatrix)
-    object.__setattr__(corr, "entries", _correlation_entries(target.covariance))
-    return corr
+    return CorrelationMatrix(entries=_correlation_entries(target.covariance))
 
 
 def fgvi_solve(target: GaussianTarget) -> FactorizedGaussian:
@@ -389,8 +372,6 @@ class ConstantOffDiagClosedForms:
     """Closed-form decomposition for unit-variance, constant-correlation
     targets: Sigma_ii = 1, Sigma_ij = eps."""
 
-    n: int
-    eps: float
     psi_ratio: float
     log_det_S: float
     log_det_C: float
@@ -425,8 +406,6 @@ def constant_offdiag_closed_forms(n: int, eps: float) -> ConstantOffDiagClosedFo
     gap_per_component = (log_det_s + log_det_c) / (2.0 * n)
     trace_over_n = mid / (one_minus * top)
     return ConstantOffDiagClosedForms(
-        n=n,
-        eps=eps,
         psi_ratio=psi_ratio,
         log_det_S=log_det_s,
         log_det_C=log_det_c,

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gaussian import GaussianTarget, CorrelationMatrix, correlation_from_covariance
+from .gaussian import CorrelationMatrix, GaussianTarget, _correlation_entries
 from .linalg import ConditioningError
 
 __all__ = [
@@ -65,8 +65,8 @@ class KernelConfig:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not self.rho > 0.0:
             raise ValueError(f"rho must be positive, got {self.rho!r}")
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter!r}")
+        if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
+            raise ValueError(f"jitter must be finite and non-negative, got {self.jitter!r}")
         _check_seed(self.seed)
 
 
@@ -118,7 +118,8 @@ def random_correlation_matrix(n: int, seed: int) -> CorrelationMatrix:
     """Random correlation matrix from a rescaled Wishart draw.
 
     A is n x n standard normal, B = A Aᵀ + n * 1e-6 * I, and B is rescaled
-    to unit diagonal.  Deterministic in (n, seed).
+    to unit diagonal.  Deterministic in (n, seed).  B is exactly symmetric
+    and positive definite, so it is not factored: a target built from C is.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -126,4 +127,4 @@ def random_correlation_matrix(n: int, seed: int) -> CorrelationMatrix:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     b = a @ a.T + n * 1e-6 * np.eye(n)
-    return correlation_from_covariance(GaussianTarget(mean=np.zeros(n), covariance=b))
+    return CorrelationMatrix(entries=_correlation_entries(b))

@@ -11,6 +11,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
+from fgvi.bounds import bound_kl_joint, bound_log_det_C, bound_log_det_S, bound_trace_S
 from fgvi.engine import OptimizerConfig, fit_fgvi, gaussian_log_density_fn
 from fgvi.gaussian import GaussianTarget
 from fgvi.generators import ConstantOffDiagConfig, constant_offdiag_target
@@ -47,6 +48,18 @@ def random_spd_target(n: int, rng: np.random.Generator) -> GaussianTarget:
     covariance = core * np.outer(scale, scale)
     mean = rng.normal(0.0, 3.0, size=n)
     return GaussianTarget(mean=mean, covariance=covariance)
+
+
+def extremal_profiles(n: int, ratio: float) -> dict:
+    """Bound name -> the profile attaining it, from the bound_* functions."""
+    trace = bound_trace_S(n, ratio)
+    return {
+        "log_det_S": bound_log_det_S(n, ratio)[1],
+        "log_det_C": bound_log_det_C(n, ratio)[1],
+        "trace_S_lower": trace.lower_profile,
+        "trace_S_upper": trace.upper_profile,
+        "kl_joint": bound_kl_joint(n, ratio)[1],
+    }
 
 
 def target_corpus(n: int, count: int, base_seed: int = 0) -> list[GaussianTarget]:

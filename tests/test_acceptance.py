@@ -41,7 +41,7 @@ from fgvi.generators import (
     squared_exponential_target,
 )
 
-from conftest import target_corpus
+from conftest import extremal_profiles, target_corpus
 from oracles import (
     oracle_bound_log_det_c,
     oracle_bound_log_det_s,
@@ -273,8 +273,8 @@ def _interior_spread(profile):
 
 def test_criterion_7_extremal_profiles_are_edge_supported():
     bad = []
-    for (n, ratio), report in _bound_grid().items():
-        for name, profile in report.maximizers.items():
+    for n, ratio in _bound_grid():
+        for name, profile in extremal_profiles(n, ratio).items():
             if name == "log_det_C":
                 if _interior_spread(profile) > 1e-9:
                     bad.append((n, ratio, name, "interior not all equal"))

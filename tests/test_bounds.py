@@ -20,6 +20,8 @@ from fgvi.bounds import (
 )
 from fgvi.gaussian import constant_offdiag_closed_forms
 
+from conftest import extremal_profiles
+
 from oracles import (
     oracle_bound_log_det_c,
     oracle_bound_log_det_s,
@@ -193,15 +195,7 @@ def test_trace_bounds_contain_constant_offdiag():
 
 
 def test_report_assembles_all_maximizers():
-    report = bounds_report(5, 7.0)
-    assert set(report.maximizers) == {
-        "log_det_S",
-        "log_det_C",
-        "trace_S_lower",
-        "trace_S_upper",
-        "kl_joint",
-    }
-    for profile in report.maximizers.values():
+    for profile in extremal_profiles(5, 7.0).values():
         _assert_profile_feasible(profile, 5, 7.0)
 
 
@@ -223,11 +217,11 @@ def test_joint_equals_separate_in_two_dimensions():
 def test_maximizer_edge_structure():
     for n in (3, 4, 5, 8):
         for ratio in (1.5, 2.0, 5.0, 10.0, 100.0):
-            report = bounds_report(n, ratio)
+            profiles = extremal_profiles(n, ratio)
             for name in ("log_det_S", "trace_S_upper", "kl_joint"):
-                _assert_edge_structure(report.maximizers[name])
+                _assert_edge_structure(profiles[name])
             for name in ("log_det_C", "trace_S_lower"):
-                interior = report.maximizers[name].values[1:-1]
+                interior = profiles[name].values[1:-1]
                 if interior.size:
                     assert np.max(interior) - np.min(interior) <= 1e-12
 
@@ -281,7 +275,7 @@ def test_report_invariants_property(n, ratio):
     assert report.upper_log_det_C <= 1e-12
     assert report.lower_trace_S <= report.upper_trace_S + 1e-9
     assert report.joint_kl_upper <= report.separate_kl_upper + 1e-9
-    for profile in report.maximizers.values():
+    for profile in extremal_profiles(n, ratio).values():
         _assert_profile_feasible(profile, n, ratio)
 
 
@@ -426,18 +420,7 @@ def test_bounds_past_double_range_raise_overflow():
             bounds_report(n, ratio)
 
 
-# ------------------------------------------------------ lazy maximizers
-
-
-_PROFILE_GRID = [
-    (n, ratio)
-    for n in (2, 3, 5)
-    for ratio in (1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 8.0 / 7.0, 4.0, 1e6, 1e160, 1e308)
-] + [
-    (n, ratio)
-    for n in (12, 64, 257)
-    for ratio in (1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.1, 8.0 / 7.0, 4.0, 1e6, 1e160, 1e300)
-]
+# ------------------------------------------------------ values-only report
 
 
 def test_bounds_report_builds_no_profile(monkeypatch):
@@ -449,36 +432,12 @@ def test_bounds_report_builds_no_profile(monkeypatch):
         validate(profile)
 
     monkeypatch.setattr(EigenProfile, "__post_init__", counting)
+    grid = [1.0, 1.0 + 1e-9, 1.1, 4.0, 1e6]
     for n in (2, 3, 12, 64):
-        grid = [1.0, 1.0 + 1e-9, 1.1, 4.0, 1e6]
-        reports = [bounds_report(n, ratio) for ratio in grid]
-        reports += envelope_sweep(n, grid)
-        assert built == []
-        for report in reports:
-            report.maximizers
-            assert len(built) == (3 if n == 2 else 4), (n, report.condition_ratio)
-            report.maximizers
-            assert len(built) == (3 if n == 2 else 4)
-            built.clear()
-
-
-def _same_bits(a: EigenProfile, b: EigenProfile) -> bool:
-    return a.values.tobytes() == b.values.tobytes() and a.condition_ratio == b.condition_ratio
-
-
-def test_lazy_maximizers_match_bound_functions():
-    for n, ratio in _PROFILE_GRID:
-        maximizers = bounds_report(n, ratio).maximizers
-        trace = bound_trace_S(n, ratio)
-        assert maximizers["log_det_S"] is maximizers["trace_S_upper"]
-        for name, profile in (
-            ("log_det_S", bound_log_det_S(n, ratio)[1]),
-            ("log_det_C", bound_log_det_C(n, ratio)[1]),
-            ("trace_S_lower", trace.lower_profile),
-            ("trace_S_upper", trace.upper_profile),
-            ("kl_joint", bound_kl_joint(n, ratio)[1]),
-        ):
-            assert _same_bits(maximizers[name], profile), (n, ratio, name)
+        for ratio in grid:
+            bounds_report(n, ratio)
+        envelope_sweep(n, grid)
+    assert built == []
 
 
 # (n, R, overflows): either side of where upper_trace_S, about
@@ -508,5 +467,6 @@ def test_report_raises_only_where_a_bound_overflows():
             with pytest.raises(OverflowError, match=message):
                 bounds_report(n, ratio)
         else:
-            for profile in bounds_report(n, ratio).maximizers.values():
+            bounds_report(n, ratio)
+            for profile in extremal_profiles(n, ratio).values():
                 _assert_profile_feasible(profile, n, ratio)

@@ -737,6 +737,20 @@ def test_input_error_messages(tmp_path, capsys):
         assert err.startswith(message) and len(err.splitlines()) == 1, err
 
 
+def test_non_finite_jitter_is_bad_input(tmp_path, capsys):
+    config = tmp_path / "jitter.cfg"
+    for value in ("nan", "inf"):
+        config.write_text(f"jitter = {value}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", "--n", "4", "--rho", "5", "--config", str(config)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert caught == []
+        assert out == ""
+        assert err == f"error: jitter must be finite and non-negative, got {value}\n"
+
+
 def test_numerical_failure_exit_code(tmp_path):
     path = tmp_path / "indefinite.txt"
     path.write_text("2\n1 2\n2 1\n")

@@ -702,6 +702,28 @@ def test_max_entropy_bound_near_zero_single_component(single_component_fit):
     assert abs(bound) < 0.1
 
 
+def test_max_entropy_bound_is_an_upper_bound():
+    """An equal-weight two-component mixture has H(p) <= log 2 + H(component),
+    so its true gap H(p) - H(q) is at most log 2 + H(component) - H(q).  The
+    bound, from the maximum-entropy Gaussian with the mixture's moments,
+    lies above that ceiling: it bounds the gap from above, not below."""
+    for n, separation, seed, expected_bound, expected_ceiling in (
+        (2, 10.0, 0, 1.629, 0.693),
+        (3, 6.0, 1, 1.130, 0.672),
+    ):
+        target = _default_mixture(separation, n)
+        config = OptimizerConfig(seed=seed, init_mean=mixture_init_mean(target, seed))
+        state = fit_fgvi(mixture_log_density_fn(target), n, config)
+        log_two_pi_e = math.log(2.0 * math.pi) + 1.0
+        entropy_component = 0.5 * n * (log_two_pi_e + math.log(target.component_variance))
+        entropy_q = float(np.sum(state.log_std)) + 0.5 * n * log_two_pi_e
+        ceiling = math.log(2.0) + entropy_component - entropy_q
+        bound = max_entropy_gap_bound(mixture_moments(target), state)
+        assert bound == pytest.approx(expected_bound, abs=1e-3)
+        assert ceiling == pytest.approx(expected_ceiling, abs=1e-3)
+        assert bound > ceiling
+
+
 def test_max_entropy_bound_dimension_mismatch():
     target = GaussianTarget(mean=np.zeros(3), covariance=np.eye(3))
     state = VariationalState(

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgvi.cli import main
 from fgvi.engine import gaussian_log_density_fn
 from fgvi import gaussian
 from fgvi.gaussian import (
     LOG_TWO_PI_E,
     ConstantOffDiagClosedForms,
-    CorrelationMatrix,
     DecompositionReport,
     FactorizedGaussian,
     GaussianTarget,
@@ -29,6 +29,7 @@ from fgvi.generators import (
     ConstantOffDiagConfig,
     KernelConfig,
     constant_offdiag_target,
+    random_correlation_matrix,
     squared_exponential_target,
 )
 from fgvi.linalg import ConditioningError
@@ -128,19 +129,6 @@ def test_target_rejects_shape_mismatch():
 def test_factorized_rejects_nonpositive_variance():
     with pytest.raises(ValueError, match="index 1"):
         FactorizedGaussian(mean=np.zeros(2), variances=np.array([1.0, 0.0]))
-
-
-def test_correlation_matrix_requires_exact_unit_diagonal():
-    c = np.eye(2)
-    c[1, 1] = 1.0 + 1e-9
-    with pytest.raises(ValueError, match="exactly 1.0"):
-        CorrelationMatrix(entries=c)
-
-
-def test_correlation_matrix_rejects_unit_off_diagonal():
-    c = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="magnitude"):
-        CorrelationMatrix(entries=c)
 
 
 def test_report_rejects_broken_gap_identity():
@@ -400,23 +388,34 @@ def test_decomposition_invariants_property(n, seed):
         assert np.all(approx.variances[coupled] < sigma_diag[coupled])
 
 
-def test_one_factorization_per_target(monkeypatch):
-    import fgvi.gaussian
-
+def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     calls = []
-    factor = fgvi.gaussian.spd_cholesky
+    factor = gaussian.spd_cholesky
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(fgvi.gaussian, "spd_cholesky", counted)
+    monkeypatch.setattr(gaussian, "spd_cholesky", counted)
     target = random_spd_target(9, np.random.default_rng(3))
     decompose(target)
     fgvi_solve(target)
     correlation_from_covariance(target)
     gaussian_log_density_fn(target)(np.zeros((4, 9)))
     assert calls == [(9, 9)]
+
+    # A Wishart draw is not factored until a target is built from it.
+    calls.clear()
+    GaussianTarget(mean=np.zeros(6), covariance=random_correlation_matrix(6, 4).entries)
+    assert calls == [(6, 6)]
+
+    # A mixture job builds its moment-matched target once.
+    calls.clear()
+    config = tmp_path / "short.cfg"
+    config.write_text("max_steps = 50\n")
+    assert main(["mixture", "--n", "3", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert calls == [(3, 3)]
 
 
 def _invariant_fields(target):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fgvi.gaussian import GaussianTarget
+from fgvi.gaussian import GaussianTarget, correlation_from_covariance
 from fgvi.generators import (
     ConstantOffDiagConfig,
     GenerationError,
@@ -25,6 +25,9 @@ def test_kernel_config_validation():
         KernelConfig(n=4, rho=1.0, seed=2**64)
     with pytest.raises(ValueError):
         KernelConfig(n=4, rho=1.0, seed=0, jitter=-1e-9)
+    for jitter in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="jitter must be finite"):
+            KernelConfig(n=4, rho=1.0, seed=0, jitter=jitter)
     # Keywords only, so a call written for an older field order fails.
     with pytest.raises(TypeError):
         KernelConfig(4, 1.0, 0)
@@ -97,6 +100,18 @@ def test_random_correlation_basics():
     assert np.array_equal(c.entries, again.entries)
     other = random_correlation_matrix(7, seed=10)
     assert not np.array_equal(c.entries, other.entries)
+
+
+def test_random_correlation_matches_validated_target():
+    # The Wishart draw B is exactly symmetric, so rescaling it directly gives
+    # the same bits as rescaling the covariance a GaussianTarget validated.
+    for n in (1, 2, 3, 8, 31, 64):
+        for seed in range(4):
+            a = np.random.default_rng(seed).standard_normal((n, n))
+            b = a @ a.T + n * 1e-6 * np.eye(n)
+            validated = correlation_from_covariance(GaussianTarget(mean=np.zeros(n), covariance=b))
+            drawn = random_correlation_matrix(n, seed).entries
+            assert drawn.tobytes() == validated.entries.tobytes(), (n, seed)
 
 
 def test_random_correlation_single_coordinate():
