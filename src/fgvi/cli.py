@@ -483,8 +483,8 @@ def _mixture_from_config(effective: dict) -> MixtureTarget:
     sigma = effective["sigma"]
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not (sigma > 0.0 and 0.0 < sigma * sigma < np.inf):
+        raise ValueError(f"sigma must be positive with a finite, non-zero square, got {sigma!r}")
     count = weights.size
     means = np.zeros((count, n))
     means[:, 0] = (np.arange(count) - (count - 1) / 2.0) * separation

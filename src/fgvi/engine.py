@@ -32,7 +32,6 @@ from .gaussian import (
     shrinkage_matrix,
 )
 from .generators import _check_seed
-from .linalg import log_det_from_cholesky, lower_inverse
 
 __all__ = [
     "MixtureTarget",
@@ -94,9 +93,10 @@ class MixtureTarget:
             )
         if np.any(w <= 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1 within 1e-12")
-        if not self.component_variance > 0.0:
+        if not 0.0 < self.component_variance < math.inf:
             raise ValueError(
-                f"component variance must be positive, got {self.component_variance!r}"
+                "component variance must be finite and positive, "
+                f"got {self.component_variance!r}"
             )
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m))):
             raise ValueError("weights and means must be finite")
@@ -146,13 +146,12 @@ def mixture_log_density_fn(target: MixtureTarget) -> LogDensityFn:
 def gaussian_log_density_fn(target: GaussianTarget) -> LogDensityFn:
     """Batched (values, gradients) callable for a dense Gaussian target.
 
-    Forms the whitening matrix W = L^-1 of the covariance factor L once; a
+    Takes the target's whitening matrix W, with W Sigma W^T = I, once; a
     call is then half = (z - mean) W^T, log p from the squared norm of half,
     and the gradient -Sigma^-1 (z - mean) = -half W.
     """
-    lower = target.cholesky_lower
-    whiten = lower_inverse(lower)
-    norm = -0.5 * (target.n * math.log(2.0 * math.pi) + log_det_from_cholesky(lower))
+    whiten = target.whitening()
+    norm = -0.5 * (target.n * _LOG_TWO_PI + target.log_det_covariance)
     mean = target.mean
 
     def fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +394,8 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     samples, window, max_steps = config.mc_samples, config.window, config.max_steps
     block = max(1, min(window, _NOISE_BLOCK_VALUES // (samples * n)))
     first_moment, second_moment, total = np.zeros((3, 2 * n))
-    elbo_values = np.empty(max_steps)
+    # max_steps is a cap, not an estimate: the buffer doubles as steps are taken.
+    elbo_values = np.empty(min(max_steps, 1024))
     previous: tuple[float, float] | None = None
     stationary_since: int | None = None
     stop_reason = "max_steps"
@@ -424,6 +424,8 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
                 raise DivergenceError(
                     f"ELBO or its gradient became non-finite at step {step}", step, state
                 )
+            if step > elbo_values.size:
+                elbo_values = np.concatenate((elbo_values, np.empty(elbo_values.size)))
             elbo_values[step - 1] = elbo
 
             first_moment = ADAM_BETA1 * first_moment + (1.0 - ADAM_BETA1) * gradient
@@ -493,5 +495,4 @@ def max_entropy_gap_bound(target_cov: GaussianTarget, fitted: VariationalState) 
         raise ValueError(
             f"dimension mismatch: target has n={target_cov.n}, fit has n={fitted.n}"
         )
-    log_det_sigma = log_det_from_cholesky(target_cov.cholesky_lower)
-    return 0.5 * (log_det_sigma - 2.0 * float(np.sum(fitted.log_std)))
+    return 0.5 * (target_cov.log_det_covariance - 2.0 * float(np.sum(fitted.log_std)))

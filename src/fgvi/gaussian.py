@@ -22,14 +22,14 @@ All entropies and divergences are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     ConditioningError,
-    inverse_diagonal,
     log_det_from_cholesky,
+    lower_inverse,
     spd_cholesky,
 )
 
@@ -103,10 +103,10 @@ class GaussianTarget:
 
     The covariance is validated symmetric (relative tolerance 1e-12) and
     positive definite at construction.  Only its correlation matrix
-    C = D^-1/2 Sigma D^-1/2 is factored, once; the target keeps that factor
-    L_C and S_ii = (C^-1)_ii, and everything downstream derives from them
-    without factoring again.  The pivot test on C is therefore blind to how
-    each coordinate is scaled.
+    C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is blind to
+    how each coordinate is scaled.  log|C| is read off the factor L_C, which
+    is then inverted in its own memory: the target keeps L_C^-1, S_ii =
+    (C^-1)_ii and log|C|, and log|Sigma| and Sigma's whitening follow.
     """
 
     mean: np.ndarray
@@ -131,19 +131,24 @@ class GaussianTarget:
             j = int(np.argmax(diag <= 0.0))
             raise ConditioningError(j, float(diag[j]), 0.0)
         chol_c = spd_cholesky(_correlation_entries(cov))
+        object.__setattr__(self, "_log_det_c", log_det_from_cholesky(chol_c))
+        inverse_c = lower_inverse(chol_c, overwrite=True)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_chol_c", chol_c)
-        object.__setattr__(self, "_shrinkage", inverse_diagonal(chol_c))
+        object.__setattr__(self, "_inverse_c", inverse_c)
+        object.__setattr__(self, "_shrinkage", np.einsum("ij,ij->j", inverse_c, inverse_c))
 
     @property
     def n(self) -> int:
         return self.mean.size
 
     @property
-    def cholesky_lower(self) -> np.ndarray:
-        """Lower Cholesky factor of the covariance, D^1/2 L_C, formed on demand."""
-        return np.sqrt(np.diag(self.covariance))[:, None] * self._chol_c
+    def log_det_covariance(self) -> float:
+        return self._log_det_c + float(np.sum(np.log(np.diag(self.covariance))))
+
+    def whitening(self) -> np.ndarray:
+        """W = L_C^-1 D^-1/2, the inverse of Sigma's factor D^1/2 L_C."""
+        return self._inverse_c / np.sqrt(np.diag(self.covariance))
 
 
 @dataclass(frozen=True)
@@ -336,10 +341,7 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     sigma_diag = np.diag(target.covariance)
     shrink = target._shrinkage
     log_det_s = float(np.sum(np.log(shrink)))
-    # log|C| is read off the one factor of C, so like log|S| it is blind to
-    # how each coordinate is scaled; log|Sigma| = log|C| + sum(log Sigma_ii).
-    log_det_c = log_det_from_cholesky(target._chol_c)
-    log_det_sigma = log_det_c + float(np.sum(np.log(sigma_diag)))
+    log_det_sigma = target.log_det_covariance
 
     variances = sigma_diag / shrink
     inv_diag = shrink / sigma_diag
@@ -358,7 +360,8 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
 
     return DecompositionReport(
         log_det_S=log_det_s,
-        log_det_C=log_det_c,
+        # Read off the one factor of C: like log|S|, blind to coordinate scales.
+        log_det_C=target._log_det_c,
         entropy_p=entropy_p,
         entropy_q=entropy_q,
         entropy_gap=gap,

@@ -61,9 +61,9 @@ def log_det_from_cholesky(lower: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
-def lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """L⁻¹ of a lower-triangular factor, by LAPACK ``trtri``."""
-    inverse, info = lapack.dtrtri(lower, lower=1)
+def lower_inverse(lower: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """L⁻¹ of a lower-triangular factor by LAPACK ``trtri``, in its memory if ``overwrite``."""
+    inverse, info = lapack.dtrtri(lower, lower=1, overwrite_c=overwrite)
     if info:
         raise np.linalg.LinAlgError(f"factor is singular: zero pivot at column {info - 1}")
     return inverse

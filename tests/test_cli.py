@@ -295,6 +295,21 @@ def test_mixture_rejects_bad_weights():
     assert main(["mixture", "--n", "2", "--sigma", "0"]) == 2
 
 
+@pytest.mark.parametrize("sigma", ["inf", "1e200", "1e-200"])
+def test_mixture_sigma_needs_a_finite_positive_square(sigma, tmp_path, capsys):
+    """sigma = inf, or one whose square overflows or underflows, is named
+    as the bad setting, from a flag and from a config file alike."""
+    message = (
+        f"error: sigma must be positive with a finite, non-zero square, got {float(sigma)!r}\n"
+    )
+    assert main(["mixture", "--n", "2", "--sigma", sigma]) == 2
+    assert capsys.readouterr().err == message
+    config = tmp_path / "sigma.cfg"
+    config.write_text(f"sigma = {sigma}\n")
+    assert main(["mixture", "--n", "2", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == message
+
+
 # ------------------------------------------------- formats & determinism
 
 
@@ -313,7 +328,9 @@ def test_byte_identical_reruns(tmp_path):
 
 
 # The exit code and sha256 of stdout for each argument list, recorded after
-# the kernel-domain key left the CLI.  A change that moves output on purpose
+# the kernel-domain key left the CLI; mixture_csv was re-recorded when
+# max_entropy_gap_bound began to read log|Sigma| off the target's one factor,
+# which moved its one cell by an ulp.  A change that moves output on purpose
 # re-records these and names the lists that moved; any other change must
 # leave every byte in place.
 PINNED_OUTPUTS = {
@@ -366,7 +383,7 @@ PINNED_OUTPUTS = {
     "mixture_csv": (
         "mixture --separation 10 --seed 0",
         0,
-        "0ee02145f5033308196a535d4caccea502c7ecbd5913a4222c7cc27baa410255",
+        "813a1c0da42c624d420b4bb2653039da24f11f22127da4bee425357455cee807",
     ),
     "mixture_one_component_json": (
         "mixture --n 2 --weights 1 --seed 1 --format json-lines",

@@ -72,10 +72,11 @@ def test_mixture_validation():
         MixtureTarget(
             weights=np.array([1.0, 0.0]), means=np.zeros((2, 3)), component_variance=1.0
         )
-    with pytest.raises(ValueError):
-        MixtureTarget(
-            weights=np.array([0.5, 0.5]), means=np.zeros((2, 3)), component_variance=0.0
-        )
+    for variance in (0.0, -1.0, math.inf, 1e200 * 1e200, math.nan):
+        with pytest.raises(ValueError, match="component variance must be finite and positive"):
+            MixtureTarget(
+                weights=np.array([0.5, 0.5]), means=np.zeros((2, 3)), component_variance=variance
+            )
     with pytest.raises(ValueError):
         MixtureTarget(
             weights=np.array([0.5, 0.5]), means=np.zeros(3), component_variance=1.0
@@ -293,7 +294,7 @@ def test_gaussian_density_fn_matches_scipy():
     kappa = np.linalg.cond(target.covariance)
     assert 5e7 < kappa < 5e8
     tolerance = max(1e-9, n * kappa * 2.0**-52)
-    lower = target.cholesky_lower
+    lower = linalg.cholesky(target.covariance, lower=True)
     norm = -0.5 * (n * math.log(2.0 * math.pi) + 2.0 * np.sum(np.log(np.diag(lower))))
     noise = np.random.default_rng(19).normal(size=(n, n))
     density = gaussian_log_density_fn(target)
@@ -614,6 +615,19 @@ def test_fit_path_is_pinned(name):
     assert np.max(np.abs(state.mean - mean)) <= tolerance
     assert np.max(np.abs(state.log_std - log_std)) <= tolerance
     assert np.max(np.abs(got_trace - trace)) <= tolerance
+
+
+def test_max_steps_is_a_cap_not_a_buffer_size():
+    """A fit stores the ELBO of the steps it takes, so a cap no array could
+    hold returns, stopped by its own rule, the fit a modest cap gives."""
+    density, n, _ = _pinned_cases()["gauss5"]
+    capped = fit_fgvi(density, n, OptimizerConfig(seed=0))
+    huge = fit_fgvi(density, n, OptimizerConfig(seed=0, max_steps=10**15))
+    assert huge.stop_reason in ("tolerance", "stationary")
+    assert huge.step_count == capped.step_count > 1024
+    assert huge.elbo_trace == capped.elbo_trace
+    assert np.array_equal(huge.mean, capped.mean)
+    assert np.array_equal(huge.log_std, capped.log_std)
 
 
 def test_noise_blocks_do_not_move_the_fit(monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgvi.cli import main
-from fgvi.engine import gaussian_log_density_fn
-from fgvi import gaussian
+from fgvi.engine import VariationalState, gaussian_log_density_fn, max_entropy_gap_bound
+from fgvi import gaussian, linalg
 from fgvi.gaussian import (
     LOG_TWO_PI_E,
     ConstantOffDiagClosedForms,
@@ -389,25 +389,35 @@ def test_decomposition_invariants_property(n, seed):
 
 
 def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
+    """A target makes one LAPACK factorization and one triangular inverse;
+    nothing built from it afterwards calls LAPACK again."""
     calls = []
-    factor = gaussian.spd_cholesky
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return factor(*args, **kwargs)
+    def counting(name):
+        routine = getattr(linalg.lapack, name)
 
-    monkeypatch.setattr(gaussian, "spd_cholesky", counted)
+        def counted(*args, **kwargs):
+            calls.append((name, args[0].shape))
+            return routine(*args, **kwargs)
+
+        return counted
+
+    for name in ("dpotrf", "dtrtri"):
+        monkeypatch.setattr(linalg.lapack, name, counting(name))
+
     target = random_spd_target(9, np.random.default_rng(3))
     decompose(target)
     fgvi_solve(target)
     correlation_from_covariance(target)
     gaussian_log_density_fn(target)(np.zeros((4, 9)))
-    assert calls == [(9, 9)]
+    state = VariationalState(np.zeros(9), np.zeros(9), 1, ((1, 0.0),))
+    max_entropy_gap_bound(target, state)
+    assert calls == [("dpotrf", (9, 9)), ("dtrtri", (9, 9))]
 
     # A Wishart draw is not factored until a target is built from it.
     calls.clear()
     GaussianTarget(mean=np.zeros(6), covariance=random_correlation_matrix(6, 4).entries)
-    assert calls == [(6, 6)]
+    assert calls == [("dpotrf", (6, 6)), ("dtrtri", (6, 6))]
 
     # A mixture job builds its moment-matched target once.
     calls.clear()
@@ -415,7 +425,7 @@ def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     config.write_text("max_steps = 50\n")
     assert main(["mixture", "--n", "3", "--config", str(config)]) == 0
     capsys.readouterr()
-    assert calls == [(3, 3)]
+    assert calls == [("dpotrf", (3, 3)), ("dtrtri", (3, 3))]
 
 
 def _invariant_fields(target):
