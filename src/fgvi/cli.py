@@ -487,8 +487,18 @@ def _mixture_from_config(effective: dict) -> MixtureTarget:
         raise ValueError(f"sigma must be positive with a finite, non-zero square, got {sigma!r}")
     count = weights.size
     means = np.zeros((count, n))
-    means[:, 0] = (np.arange(count) - (count - 1) / 2.0) * separation
-    return MixtureTarget(weights=weights, means=means, component_variance=sigma * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means[:, 0] = (np.arange(count) - (count - 1) / 2.0) * separation
+    if np.all(np.isfinite(means)):
+        target = MixtureTarget(weights=weights, means=means, component_variance=sigma * sigma)
+        # The (0, 0) spread entry of mixture_moments, which would overflow
+        # only after the fit.
+        centered = means[:, 0] - target.weights @ means[:, 0]
+        with np.errstate(over="ignore"):
+            spread = (target.weights * centered) @ centered
+        if spread < np.inf:
+            return target
+    raise ValueError(f"separation must give the means a finite squared spread, got {separation!r}")
 
 
 def run_mixture(effective: dict) -> tuple[list[str], list[dict], int]:

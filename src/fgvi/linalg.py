@@ -5,14 +5,49 @@ from it reads that one factor.  Log-determinants are accumulated from the
 factor diagonal, so they stay finite even when the determinant itself
 would under- or overflow, and diagonals of inverses come from the
 triangular inverse of the factor (``trtri``), never from the full inverse.
+Both routines come from scipy's compiled LAPACK wrappers, loaded without
+the ``scipy.linalg`` package, whose import would be most of ``import fgvi``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+from importlib.machinery import PathFinder
+
 import numpy as np
-from scipy.linalg import lapack
 
 PIVOT_RTOL = 1e-12
+
+
+def _load_lapack():
+    """scipy's ``_flapack`` extension, the module ``scipy.linalg.lapack`` re-exports.
+
+    It is loaded from its file and registered under its own name, so a later
+    ``import scipy.linalg`` reuses this very module.  Where scipy's layout
+    differs or the file will not load alone, the public package is imported.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        scipy = importlib.util.find_spec("scipy")
+        folders = [os.path.join(folder, "linalg") for folder in scipy.submodule_search_locations]
+        spec = PathFinder.find_spec(name, folders)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, AttributeError, TypeError, ValueError):
+        # A missing package or file gives a None spec, a package without a
+        # path a TypeError, a file that needs scipy's own set-up an ImportError.
+        from scipy.linalg import lapack
+
+        return lapack
+    sys.modules[name] = module
+    return module
+
+
+lapack = _load_lapack()
 
 
 class ConditioningError(ArithmeticError):

@@ -310,6 +310,23 @@ def test_mixture_sigma_needs_a_finite_positive_square(sigma, tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("separation", ["inf", "-inf", "nan", "1e160", "-1e200"])
+def test_mixture_separation_is_checked_before_the_fit(separation, tmp_path, capsys, monkeypatch):
+    """A separation whose means, or their squared spread, are not finite is
+    named as the bad setting before any fit, from a flag and a config file."""
+    monkeypatch.setattr(cli, "fit_fgvi", lambda *args, **kwargs: pytest.fail("fit ran"))
+    message = (
+        "error: separation must give the means a finite squared spread, "
+        f"got {float(separation)!r}\n"
+    )
+    assert main(["mixture", "--n", "2", f"--separation={separation}"]) == 2
+    assert capsys.readouterr().err == message
+    config = tmp_path / "separation.cfg"
+    config.write_text(f"separation = {separation}\n")
+    assert main(["mixture", "--n", "2", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == message
+
+
 # ------------------------------------------------- formats & determinism
 
 

@@ -1,9 +1,16 @@
 """Factorization and log-determinant plumbing."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fgvi
 from fgvi.linalg import (
     ConditioningError,
     inverse_diagonal,
@@ -128,3 +135,83 @@ def test_cholesky_matches_column_reference(n, rank, indefinite, seed):
         assert info.value.pivot <= info.value.threshold
     else:
         assert np.allclose(spd_cholesky(matrix), reference, rtol=1e-10, atol=1e-12)
+
+
+# Which LAPACK module a fresh interpreter loads, which scipy modules that
+# brings in, and what the loaded routines compute.  A fresh interpreter,
+# because in this process the test modules' import order decides what is
+# already in sys.modules.  With argv[1] == "fallback", find_spec finds
+# nothing while fgvi loads, so the direct load fails and the fallback runs.
+_LOADER_PROBE = """
+import glob, importlib.util, json, os, sys
+import numpy as np
+
+scipy_linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+if sys.argv[1] == "fallback":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda *args, **kwargs: None
+import fgvi.cli
+from fgvi import linalg
+if sys.argv[1] == "fallback":
+    importlib.util.find_spec = find_spec
+scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+b = np.random.default_rng(0).standard_normal((7, 12))
+lower = linalg.spd_cholesky(b @ b.T)
+inverse = linalg.lower_inverse(lower)
+
+import scipy.linalg.lapack
+print(json.dumps({
+    "scipy_modules": scipy_modules,
+    "module": linalg.lapack.__name__,
+    "extension_present": bool(glob.glob(os.path.join(scipy_linalg, "_flapack*"))),
+    "same_routines": all(
+        getattr(linalg.lapack, name) is getattr(scipy.linalg.lapack, name)
+        for name in ("dpotrf", "dtrtri")
+    ),
+    "factor": lower.tobytes().hex(),
+    "inverse": inverse.tobytes().hex(),
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def loader_runs():
+    """The probe's record for the direct load and for the fallback."""
+    src = str(Path(fgvi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = {}
+    for mode in ("direct", "fallback"):
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADER_PROBE, mode],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        runs[mode] = json.loads(result.stdout)
+    return runs
+
+
+def test_startup_imports_no_scipy_package(loader_runs):
+    assert loader_runs["direct"]["scipy_modules"] == ["scipy.linalg._flapack"]
+    for run in loader_runs.values():
+        assert not {"scipy.special", "scipy.stats"} & set(run["scipy_modules"])
+
+
+def test_extension_is_loaded_directly_where_it_exists(loader_runs):
+    direct = loader_runs["direct"]
+    expected = "scipy.linalg._flapack" if direct["extension_present"] else "scipy.linalg.lapack"
+    assert direct["module"] == expected
+    assert loader_runs["fallback"]["module"] == "scipy.linalg.lapack"
+
+
+def test_later_scipy_import_reuses_the_routines(loader_runs):
+    assert loader_runs["direct"]["same_routines"]
+    assert loader_runs["fallback"]["same_routines"]
+
+
+def test_fallback_computes_the_same_bits(loader_runs):
+    direct, fallback = loader_runs["direct"], loader_runs["fallback"]
+    assert fallback["factor"] == direct["factor"]
+    assert fallback["inverse"] == direct["inverse"]
