@@ -10,19 +10,23 @@ seed, effective config, config hash).  Floats are printed with 17
 significant digits, so identical configs produce byte-identical output and
 every value round-trips through text exactly.
 
-Exit codes: 0 success, 1 a validity flag failed, 2 invalid input,
-3 numerical failure (singular input, overflow, or a nan or infinite value
-bound for the output), 4 optimizer divergence.
+Exit codes: 0 success, 1 a validity flag failed, 2 invalid input or an
+``--out`` path that cannot be written, 3 numerical failure (singular input,
+overflow, or a nan or infinite value bound for the output), 4 optimizer
+divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -546,7 +550,11 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fgvi`` argument parser, built on the first call and shared by
+    every later one: parsing and usage errors leave it unchanged, and
+    building it costs more than a small job."""
     parser = argparse.ArgumentParser(
         prog="fgvi",
         description="Entropy-gap decompositions, bounds and stochastic fits "
@@ -597,8 +605,17 @@ def main(argv=None) -> int:
     if out_path == "-":
         sys.stdout.write(table.getvalue())
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(table.getvalue())
+        handle = None
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(table.getvalue())
+        except OSError as exc:
+            # A regular file cut short by a failed write is not left as output.
+            if handle is not None and os.path.isfile(out_path):
+                with contextlib.suppress(OSError):
+                    os.remove(out_path)
+            print(f"error: cannot write output file {out_path}: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     return code
 
 

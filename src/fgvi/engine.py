@@ -387,10 +387,6 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     params = np.concatenate([init_mean, np.zeros(n)])
     mean, log_std = params[:n], params[n:]
 
-    init_values, _ = log_density(mean[None, :])
-    if not np.all(np.isfinite(init_values)):
-        raise ValueError("log-density is not finite at the initialization point")
-
     samples, window, max_steps = config.mc_samples, config.window, config.max_steps
     block = max(1, min(window, _NOISE_BLOCK_VALUES // (samples * n)))
     first_moment, second_moment, total = np.zeros((3, 2 * n))
@@ -401,9 +397,12 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     stop_reason = "max_steps"
 
     # Overflow and a scale that underflows to zero are detected failure
-    # modes, not warning conditions: the finiteness check below turns them
-    # into DivergenceError.
+    # modes, not warning conditions: the finiteness checks below turn them
+    # into ValueError at the initialization point and DivergenceError after.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        init_values, _ = log_density(mean[None, :])
+        if not np.all(np.isfinite(init_values)):
+            raise ValueError("log-density is not finite at the initialization point")
         for step in range(1, max_steps + 1):
             if stationary_since is None and (step - 1) % window == 0:
                 total[:], average_from = 0.0, step

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
+import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -327,6 +329,17 @@ def test_mixture_separation_is_checked_before_the_fit(separation, tmp_path, caps
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mixture_density_overflow_at_the_start_warns_nothing(tmp_path, capsys):
+    """Squared distances to means 1.5e154 apart overflow in the density at
+    the initial point; the fit reads only their finiteness, so no
+    RuntimeWarning escapes and the job succeeds."""
+    config = tmp_path / "short.cfg"
+    config.write_text("max_steps = 10\n")
+    assert main(["mixture", "--n", "2", "--separation", "1.5e154", "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ------------------------------------------------- formats & determinism
 
 
@@ -416,6 +429,45 @@ def test_cli_output_is_pinned(name, capsys):
     code, out = run_cli(*args.split(), capsys=capsys)
     assert code == expected_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_parser_is_built_once_and_leaks_nothing_between_jobs(tmp_path, capsys, monkeypatch):
+    """main builds its parser on the first call only; a usage error and a
+    refused config file leave every later job's output and exit code as
+    pinned, and a repeated usage error prints what it printed first."""
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    usage = ["analyze", "--n", "3", "--eps", "0.5", "--seed", "-1"]
+    config = tmp_path / "bad.cfg"
+    config.write_text("seed = -1\n")
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            main(usage)
+        assert exit_info.value.code == 2
+        usage_err = capsys.readouterr().err
+        assert len(built) == 5  # the top-level parser and one per subcommand
+        built.clear()
+        assert main(["analyze", "--n", "3", "--eps", "0.5", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: seed must be an unsigned 64-bit integer, got -1\n"
+        for name in sorted(PINNED_OUTPUTS):
+            args, expected_code, digest = PINNED_OUTPUTS[name]
+            code, out = run_cli(*args.split(), capsys=capsys)
+            assert code == expected_code, name
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+        with pytest.raises(SystemExit) as exit_info:
+            main(usage)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == usage_err
+        assert built == []
+    finally:
+        build_parser.cache_clear()
 
 
 def _reject_constant(name):
@@ -712,6 +764,44 @@ def test_bad_format_message_same_for_flag_and_config_file(argv, tmp_path, capsys
     assert main(argv + ["--config", str(config)]) == 2
     config_message = capsys.readouterr().err.removeprefix("error: ")
     assert flag_message == config_message == "format must be 'csv' or 'json-lines', got 'xml'\n"
+
+
+def test_unwritable_output_path_is_bad_input(tmp_path, capsys, monkeypatch):
+    argv = ["analyze", "--n", "3", "--eps", "0.5", "--out"]
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(argv + [str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {missing}: ")
+    assert len(err.splitlines()) == 1
+    assert not missing.parent.exists()
+
+    def full_disk_open(path, *args, **kwargs):
+        """A file that takes part of the table, then runs out of space."""
+        handle = open(path, *args, **kwargs)
+        handle.write("# tool=fgvi\n")
+        handle.flush()
+
+        def fail(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        handle.write = fail
+        return handle
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    partial = tmp_path / "partial.csv"
+    assert main(argv + [str(partial)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write output file {partial}: ")
+    assert not partial.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_a_device_removes_nothing(capsys, monkeypatch):
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    assert main(["analyze", "--n", "3", "--eps", "0.5", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output file /dev/full: ")
+    assert removed == []
 
 
 def test_output_file_writing(tmp_path, capsys):
