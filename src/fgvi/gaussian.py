@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .linalg import (
     ConditioningError,
@@ -60,49 +61,82 @@ LOG_TWO_PI_E = math.log(2.0 * math.pi) + 1.0
 MIN_LOG_DET = -700.0
 
 SYMMETRY_RTOL = 1e-12
-# Entries per temporary in the blocked symmetry check.
-_SYMMETRY_BLOCK = 2**16
+# Side of the square tiles the exact symmetry test compares; the tolerant
+# check takes rows in blocks of as many entries, 2**16.
+_SYMMETRY_TILE = 256
+
+
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """Whether a equals a.T bit for bit, so +0.0 and -0.0 differ.  Compares
+    each tile on and above the diagonal with its mirror, so that a large
+    matrix is read in order, a tile at a time."""
+    n, size = a.shape[0], _SYMMETRY_TILE
+    for i in range(0, n, size):
+        for j in range(i, n, size):
+            upper, lower = a[i : i + size, j : j + size], a[j : j + size, i : i + size]
+            if upper.tobytes() != lower.T.tobytes():
+                return False
+    return True
 
 
 def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
-    """0.5 * (a + a.T), once each |a_ij - a_ji| is within SYMMETRY_RTOL *
-    max(1, |a_ij|).  Checks a block of rows at a time, so the only n x n
-    array it makes is the result.  A nan gap passes the check."""
+    """A new array equal to 0.5 * (a + a.T), once each |a_ij - a_ji| is within
+    SYMMETRY_RTOL * max(1, |a_ij|); a nan gap passes.  Exactly symmetric
+    input, the common case, is only compared bit for bit and copied, since
+    for it that array is a itself.  Other input is checked a block of rows
+    at a time, so the only n x n array made is the result, and a sum
+    a_ij + a_ji past the double range is taken as 0.5 * a_ij + 0.5 * a_ji."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
+    if _exactly_symmetric(a):
+        return a.copy()
     n = a.shape[0]
     out = np.empty_like(a)
-    step = max(1, _SYMMETRY_BLOCK // max(n, 1))
-    for start in range(0, n, step):
-        stop = start + step
-        rows, mirror = a[start:stop], a[:, start:stop].T
-        if (np.abs(rows - mirror) > SYMMETRY_RTOL * np.maximum(np.abs(rows), 1.0)).any():
-            gap, scale = np.abs(a - a.T), np.maximum(1.0, np.abs(a))
-            i, j = np.unravel_index(int(np.argmax(gap / scale)), a.shape)
-            raise ValueError(
-                f"{what} is not symmetric: entries ({i},{j}) and ({j},{i}) "
-                f"differ by {gap[i, j]:.3e}"
-            )
-        np.add(rows, mirror, out=out[start:stop])
-    # Exactly symmetric downstream; equal to the input when it already is.
+    step = max(1, _SYMMETRY_TILE**2 // n)
+    with np.errstate(over="ignore"):
+        for start in range(0, n, step):
+            stop = start + step
+            rows, mirror = a[start:stop], a[:, start:stop].T
+            if (np.abs(rows - mirror) > SYMMETRY_RTOL * np.maximum(np.abs(rows), 1.0)).any():
+                gap, scale = np.abs(a - a.T), np.maximum(1.0, np.abs(a))
+                i, j = np.unravel_index(int(np.argmax(gap / scale)), a.shape)
+                raise ValueError(
+                    f"{what} is not symmetric: entries ({i},{j}) and ({j},{i}) "
+                    f"differ by {gap[i, j]:.3e}"
+                )
+            np.add(rows, mirror, out=out[start:stop])
     out *= 0.5
+    overflowed = np.isinf(out)
+    if overflowed.any():
+        out[overflowed] = 0.5 * a[overflowed] + 0.5 * a.T[overflowed]
     return out
 
 
 def _correlation_entries(cov: np.ndarray) -> np.ndarray:
     """C_ij = Sigma_ij / sqrt(Sigma_ii Sigma_jj), unit diagonal; symmetric when Sigma is."""
-    scale = np.sqrt(np.diag(cov))
-    c = cov / np.outer(scale, scale)
-    np.fill_diagonal(c, 1.0)
+    scale = np.sqrt(cov.diagonal())
+    c = cov / (scale[:, None] * scale)  # the products of np.outer, bit for bit
+    c.flat[:: c.shape[0] + 1] = 1.0
     return c
+
+
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float array; complex input is refused, not cut to its real part."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
 class GaussianTarget:
     """A multivariate Gaussian N(mean, covariance).
 
-    The covariance is validated symmetric (relative tolerance 1e-12) and
-    positive definite at construction.  Only its correlation matrix
+    Both must be real and finite: complex input is refused, not cut to its
+    real part.  The covariance is validated symmetric (relative tolerance
+    1e-12) and positive definite at construction.  The target keeps its own
+    copy: exactly symmetric input is tested bit for bit and copied, other
+    input is stored as 0.5 * (Sigma + Sigma^T).  Only its correlation matrix
     C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is blind to
     how each coordinate is scaled.  log|C| is read off the factor L_C, which
     is then inverted in its own memory: the target keeps L_C^-1, S_ii =
@@ -113,12 +147,12 @@ class GaussianTarget:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
+        mean = _real_array(self.mean, "mean")
+        cov = _real_array(self.covariance, "covariance")
         if mean.ndim != 1 or mean.size < 1:
             raise ValueError(f"mean must be a vector of length >= 1, got shape {mean.shape}")
         # Before the symmetry check, where inf - inf would make a nan gap.
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
         cov = _check_square_symmetric(cov, "covariance")
         if cov.shape[0] != mean.size:
@@ -126,8 +160,8 @@ class GaussianTarget:
                 f"dimension mismatch: mean has length {mean.size}, "
                 f"covariance is {cov.shape[0]}x{cov.shape[1]}"
             )
-        diag = np.diag(cov)
-        if np.any(diag <= 0.0):
+        diag = cov.diagonal()
+        if (diag <= 0.0).any():
             j = int(np.argmax(diag <= 0.0))
             raise ConditioningError(j, float(diag[j]), 0.0)
         chol_c = spd_cholesky(_correlation_entries(cov))
@@ -144,11 +178,11 @@ class GaussianTarget:
 
     @property
     def log_det_covariance(self) -> float:
-        return self._log_det_c + float(np.sum(np.log(np.diag(self.covariance))))
+        return self._log_det_c + float(np.log(self.covariance.diagonal()).sum())
 
     def whitening(self) -> np.ndarray:
         """W = L_C^-1 D^-1/2, the inverse of Sigma's factor D^1/2 L_C."""
-        return self._inverse_c / np.sqrt(np.diag(self.covariance))
+        return self._inverse_c / np.sqrt(self.covariance.diagonal())
 
 
 @dataclass(frozen=True)
@@ -166,10 +200,10 @@ class FactorizedGaussian:
                 f"mean and variances must be vectors of equal length >= 1, "
                 f"got shapes {mean.shape} and {var.shape}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
             raise ValueError("mean and variances must be finite")
-        bad = np.flatnonzero(var <= 0.0)
-        if bad.size:
+        if (var <= 0.0).any():
+            bad = np.flatnonzero(var <= 0.0)
             raise ValueError(f"variance at index {bad[0]} is not positive: {var[bad[0]]!r}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variances", var)
@@ -197,17 +231,17 @@ class ShrinkageMatrix:
         d = np.asarray(self.diagonal, dtype=float)
         if d.ndim != 1 or d.size < 1:
             raise ValueError(f"diagonal must be a vector of length >= 1, got shape {d.shape}")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+        if not np.isfinite(d).all() or (d <= 0.0).any():
             raise ValueError("shrinkage ratios must be finite and positive")
         object.__setattr__(self, "diagonal", d)
 
     @property
     def trace(self) -> float:
-        return float(np.sum(self.diagonal))
+        return float(self.diagonal.sum())
 
     @property
     def log_det(self) -> float:
-        return float(np.sum(np.log(self.diagonal)))
+        return float(np.log(self.diagonal).sum())
 
 
 class IndefiniteError(ArithmeticError):
@@ -278,7 +312,7 @@ def fgvi_solve(target: GaussianTarget) -> FactorizedGaussian:
     Sigma_ii, strictly smaller as soon as coordinate i carries any
     correlation.
     """
-    variances = np.diag(target.covariance) / target._shrinkage
+    variances = target.covariance.diagonal() / target._shrinkage
     return FactorizedGaussian(mean=target.mean.copy(), variances=variances)
 
 
@@ -290,7 +324,7 @@ def reverse_kl_solve(target: GaussianTarget) -> FactorizedGaussian:
     the entire entropy gap comes from lost correlation.
     """
     return FactorizedGaussian(
-        mean=target.mean.copy(), variances=np.diag(target.covariance).copy()
+        mean=target.mean.copy(), variances=target.covariance.diagonal().copy()
     )
 
 
@@ -300,7 +334,7 @@ def shrinkage_matrix(target: GaussianTarget, approx: FactorizedGaussian) -> Shri
         raise ValueError(
             f"dimension mismatch: target has n={target.n}, approximation has n={approx.n}"
         )
-    return ShrinkageMatrix(diagonal=np.diag(target.covariance) / approx.variances)
+    return ShrinkageMatrix(diagonal=target.covariance.diagonal() / approx.variances)
 
 
 def gaussian_entropy(covariance_log_det: float, n: int) -> float:
@@ -321,6 +355,15 @@ def gaussian_entropy(covariance_log_det: float, n: int) -> float:
     return 0.5 * (covariance_log_det + n * LOG_TWO_PI_E)
 
 
+def _eigenvalues_did_not_converge(error: str, flag: int):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# np.linalg.eigvalsh's error state: a LAPACK failure to converge sets the
+# invalid flag and raises; rounding flags stay silent.
+_EIGVALSH_ERRSTATE = dict(all="ignore", invalid="call", call=_eigenvalues_did_not_converge)
+
+
 def decompose(target: GaussianTarget) -> DecompositionReport:
     """Full entropy-gap decomposition of one Gaussian target.
 
@@ -338,22 +381,26 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     IndefiniteError if the smallest eigenvalue is not positive.
     """
     n = target.n
-    sigma_diag = np.diag(target.covariance)
+    sigma_diag = target.covariance.diagonal()
     shrink = target._shrinkage
-    log_det_s = float(np.sum(np.log(shrink)))
+    log_det_s = float(np.log(shrink).sum())
     log_det_sigma = target.log_det_covariance
 
     variances = sigma_diag / shrink
-    inv_diag = shrink / sigma_diag
-    log_det_psi = float(np.sum(np.log(variances)))
+    log_det_psi = float(np.log(variances).sum())
+    # The floor checks come first: S_ii / Sigma_ii overflows on a variance below the floor.
     entropy_p = gaussian_entropy(log_det_sigma, n)
     entropy_q = gaussian_entropy(log_det_psi, n)
     gap = entropy_p - entropy_q
 
+    inv_diag = shrink / sigma_diag
     trace_term = float(variances @ inv_diag)
     kl = 0.5 * (trace_term - (log_det_psi - log_det_sigma) - n)
 
-    eigvals = np.linalg.eigvalsh(_correlation_entries(target.covariance))
+    c = _correlation_entries(target.covariance)
+    # np.linalg.eigvalsh's own gufunc and error state, without its argument checks.
+    with np.errstate(**_EIGVALSH_ERRSTATE):
+        eigvals = _umath_linalg.eigvalsh_lo(c, signature="d->d")
     if not eigvals[0] > 0.0:
         raise IndefiniteError(float(eigvals[0]))
     condition = float(eigvals[-1] / eigvals[0])

@@ -79,21 +79,21 @@ def spd_cholesky(matrix: np.ndarray) -> np.ndarray:
     Returns:
         Lower-triangular factor ``L`` with ``L @ L.T == matrix``.
     """
-    thresholds = PIVOT_RTOL * np.diag(matrix)
+    thresholds = PIVOT_RTOL * matrix.diagonal()
     lower, info = lapack.dpotrf(matrix, lower=1, clean=1)
-    pivots = np.diag(lower) ** 2
+    pivots = lower.diagonal() ** 2
     if info:
         pivots[info - 1] = lower[info - 1, info - 1]
-    bad = np.flatnonzero(~(pivots > thresholds))
-    if bad.size:
-        j = int(bad[0])
+    passed = pivots > thresholds
+    if not passed.all():
+        j = int(passed.argmin())
         raise ConditioningError(j, float(pivots[j]), float(thresholds[j]))
     return lower
 
 
 def log_det_from_cholesky(lower: np.ndarray) -> float:
     """log|A| for A = L Lᵀ, summed over the factor diagonal."""
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return 2.0 * float(np.log(lower.diagonal()).sum())
 
 
 def lower_inverse(lower: np.ndarray, overwrite: bool = False) -> np.ndarray:

@@ -127,6 +127,25 @@ def test_matrix_file_parse_errors(tmp_path):
     assert main(["analyze", "--matrix-file", str(tmp_path / "absent.txt")]) == 2
 
 
+def test_matrix_file_near_the_double_range_is_analyzed(tmp_path, capsys):
+    """Finite and positive definite, though a_ij + a_ji overflows: exactly
+    symmetric input is copied, not halved from that sum."""
+    path = tmp_path / "big.txt"
+    path.write_text("2\n1e308 1e307\n1e307 1e308\n")
+    code, out = run_cli("analyze", "--matrix-file", str(path), capsys=capsys)
+    assert code == 0
+    _, records = parse_csv(out)
+    assert find_value(records, section="ellipse_p", name="cov", i="0", j="1") == 1e307
+
+
+def test_matrix_file_below_the_log_det_floor_fails_before_dividing(tmp_path, capsys):
+    """The floor check comes before 1 / Sigma_ii, which overflows here."""
+    path = tmp_path / "tiny.txt"
+    path.write_text("2\n1e-320 0\n0 1e-320\n")
+    assert main(["analyze", "--matrix-file", str(path)]) == 2
+    assert "is below -700.0" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- sweep
 
 

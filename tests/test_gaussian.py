@@ -101,6 +101,71 @@ def test_blocked_symmetry_check_matches_whole_matrix_pass():
         gaussian._check_square_symmetric(one_off, "covariance")
 
 
+@pytest.mark.parametrize("n", [255, 256, 257, 513])
+def test_exact_symmetry_test_reads_every_tile(n):
+    """Exactly symmetric input comes back as an equal copy.  One entry a
+    ulp off its mirror, on either side of any tile edge, is found: the
+    result is then 0.5 * (a + a.T) bit for bit, and symmetric."""
+    base = np.random.default_rng(n).standard_normal((n, n))
+    a = base + base.T
+    got = gaussian._check_square_symmetric(a, "covariance")
+    assert not np.shares_memory(got, a)
+    assert np.array_equal(got.view(np.int64), a.view(np.int64))
+    tile = gaussian._SYMMETRY_TILE
+    edges = [k for k in (0, tile - 1, tile, 2 * tile - 1, 2 * tile, n - 1) if k < n]
+    for i in edges:
+        for j in edges:
+            if i == j:
+                continue
+            b = a.copy()
+            b[i, j] = np.nextafter(b[i, j], np.inf)
+            got = gaussian._check_square_symmetric(b, "covariance")
+            assert np.array_equal(got.view(np.int64), (0.5 * (b + b.T)).view(np.int64))
+            assert np.array_equal(got.view(np.int64), got.T.view(np.int64))
+
+
+def test_signed_zero_mirror_pair_is_averaged_not_copied():
+    a = np.eye(3)
+    a[0, 2] = -0.0
+    got = gaussian._check_square_symmetric(a, "covariance")
+    assert np.array_equal(got.view(np.int64), (0.5 * (a + a.T)).view(np.int64))
+    assert not np.signbit(got[0, 2]) and not np.signbit(got[2, 0])
+
+
+def test_symmetrizing_near_the_double_range_does_not_overflow():
+    """a_01 + a_10 overflows in both paths; the tolerant one halves first."""
+    top = np.finfo(float).max
+    exact = np.array([[top, 0.9 * top], [0.9 * top, top]])
+    assert np.array_equal(gaussian._check_square_symmetric(exact, "c"), exact)
+    near = exact.copy()
+    near[1, 0] = np.nextafter(near[1, 0], 0.0)
+    got = gaussian._check_square_symmetric(near, "c")
+    assert got[0, 1] == got[1, 0] == 0.5 * near[0, 1] + 0.5 * near[1, 0]
+    assert np.isfinite(got).all()
+    GaussianTarget(np.zeros(2), near)
+
+
+def test_target_never_aliases_the_callers_covariance():
+    base = np.random.default_rng(5).standard_normal((6, 6))
+    exact = base @ base.T + 6.0 * np.eye(6)
+    near = exact * (1.0 + 1e-14 * np.triu(np.ones((6, 6)), 1))
+    assert gaussian._exactly_symmetric(exact) and not gaussian._exactly_symmetric(near)
+    for cov in (exact, near):
+        target = GaussianTarget(np.zeros(6), cov)
+        kept, report = target.covariance.copy(), decompose(target)
+        cov[...] = np.eye(6)
+        assert np.array_equal(target.covariance, kept)
+        assert decompose(target) == report
+
+
+@pytest.mark.parametrize("field", ["mean", "covariance"])
+def test_target_refuses_complex_input(field):
+    args = {"mean": np.zeros(2), "covariance": np.eye(2)}
+    args[field] = args[field] * (1 + 0j)
+    with pytest.raises(ValueError, match=f"{field} must be real"):
+        GaussianTarget(**args)
+
+
 def test_target_rejects_indefinite_covariance():
     # Indefinite, singular, and with a non-positive diagonal entry.
     for cov in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -2.0]]):
