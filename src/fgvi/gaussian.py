@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .linalg import (
     ConditioningError,
@@ -61,54 +60,46 @@ LOG_TWO_PI_E = math.log(2.0 * math.pi) + 1.0
 MIN_LOG_DET = -700.0
 
 SYMMETRY_RTOL = 1e-12
-# Side of the square tiles the exact symmetry test compares; the tolerant
-# check takes rows in blocks of as many entries, 2**16.
+# Side of the square tiles the symmetry check compares with their mirrors.
 _SYMMETRY_TILE = 256
-
-
-def _exactly_symmetric(a: np.ndarray) -> bool:
-    """Whether a equals a.T bit for bit, so +0.0 and -0.0 differ.  Compares
-    each tile on and above the diagonal with its mirror, so that a large
-    matrix is read in order, a tile at a time."""
-    n, size = a.shape[0], _SYMMETRY_TILE
-    for i in range(0, n, size):
-        for j in range(i, n, size):
-            upper, lower = a[i : i + size, j : j + size], a[j : j + size, i : i + size]
-            if upper.tobytes() != lower.T.tobytes():
-                return False
-    return True
 
 
 def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
     """A new array equal to 0.5 * (a + a.T), once each |a_ij - a_ji| is within
-    SYMMETRY_RTOL * max(1, |a_ij|); a nan gap passes.  Exactly symmetric
-    input, the common case, is only compared bit for bit and copied, since
-    for it that array is a itself.  Other input is checked a block of rows
-    at a time, so the only n x n array made is the result, and a sum
-    a_ij + a_ji past the double range is taken as 0.5 * a_ij + 0.5 * a_ji."""
+    SYMMETRY_RTOL * max(1, |a_ij|); a nan gap passes.  a is copied, then each
+    tile on and above the diagonal is compared with its mirror's transpose,
+    so a large matrix is read in order.  A pair that is equal bit for bit,
+    as all of exactly symmetric input is, stays as copied: there the average
+    is a itself.  Only the other pairs, where +0.0 and -0.0 differ too, are
+    checked and averaged, and a sum a_ij + a_ji past the double range is
+    taken as 0.5 * a_ij + 0.5 * a_ji."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
-    if _exactly_symmetric(a):
-        return a.copy()
-    n = a.shape[0]
-    out = np.empty_like(a)
-    step = max(1, _SYMMETRY_TILE**2 // n)
-    with np.errstate(over="ignore"):
-        for start in range(0, n, step):
-            stop = start + step
-            rows, mirror = a[start:stop], a[:, start:stop].T
-            if (np.abs(rows - mirror) > SYMMETRY_RTOL * np.maximum(np.abs(rows), 1.0)).any():
+    n, size = a.shape[0], _SYMMETRY_TILE
+    out = a.copy()
+    for i in range(0, n, size):
+        for j in range(i, n, size):
+            upper, mirror = a[i : i + size, j : j + size], a[j : j + size, i : i + size].T
+            if upper.tobytes() == mirror.tobytes():
+                continue
+            scale = np.abs(upper)
+            if i != j:  # the mirror's entries are the scales of their own rows
+                np.minimum(scale, np.abs(mirror), out=scale)
+            if (np.abs(upper - mirror) > SYMMETRY_RTOL * np.maximum(scale, 1.0)).any():
                 gap, scale = np.abs(a - a.T), np.maximum(1.0, np.abs(a))
-                i, j = np.unravel_index(int(np.argmax(gap / scale)), a.shape)
+                r, c = np.unravel_index(int(np.argmax(gap / scale)), a.shape)
                 raise ValueError(
-                    f"{what} is not symmetric: entries ({i},{j}) and ({j},{i}) "
-                    f"differ by {gap[i, j]:.3e}"
+                    f"{what} is not symmetric: entries ({r},{c}) and ({c},{r}) "
+                    f"differ by {gap[r, c]:.3e}"
                 )
-            np.add(rows, mirror, out=out[start:stop])
-    out *= 0.5
-    overflowed = np.isinf(out)
-    if overflowed.any():
-        out[overflowed] = 0.5 * a[overflowed] + 0.5 * a.T[overflowed]
+            with np.errstate(over="ignore"):
+                mean = (upper + mirror) * 0.5
+            overflowed = np.isinf(mean)
+            if overflowed.any():
+                mean[overflowed] = 0.5 * upper[overflowed] + 0.5 * mirror[overflowed]
+            out[i : i + size, j : j + size] = mean
+            if i != j:
+                out[j : j + size, i : i + size] = mean.T
     return out
 
 
@@ -355,15 +346,6 @@ def gaussian_entropy(covariance_log_det: float, n: int) -> float:
     return 0.5 * (covariance_log_det + n * LOG_TWO_PI_E)
 
 
-def _eigenvalues_did_not_converge(error: str, flag: int):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-# np.linalg.eigvalsh's error state: a LAPACK failure to converge sets the
-# invalid flag and raises; rounding flags stay silent.
-_EIGVALSH_ERRSTATE = dict(all="ignore", invalid="call", call=_eigenvalues_did_not_converge)
-
-
 def decompose(target: GaussianTarget) -> DecompositionReport:
     """Full entropy-gap decomposition of one Gaussian target.
 
@@ -397,10 +379,7 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     trace_term = float(variances @ inv_diag)
     kl = 0.5 * (trace_term - (log_det_psi - log_det_sigma) - n)
 
-    c = _correlation_entries(target.covariance)
-    # np.linalg.eigvalsh's own gufunc and error state, without its argument checks.
-    with np.errstate(**_EIGVALSH_ERRSTATE):
-        eigvals = _umath_linalg.eigvalsh_lo(c, signature="d->d")
+    eigvals = np.linalg.eigvalsh(_correlation_entries(target.covariance))
     if not eigvals[0] > 0.0:
         raise IndefiniteError(float(eigvals[0]))
     condition = float(eigvals[-1] / eigvals[0])
