@@ -46,13 +46,13 @@ _H_TAYLOR = tuple(1 / math.factorial(k) for k in range(25, 1, -1))
 @dataclass(frozen=True)
 class EigenProfile:
     """An eigenvalue profile in the candidate class: sorted descending,
-    trace n, extreme ratio equal to ``condition_ratio``."""
+    trace n, extreme ratio equal to ``condition_ratio``; an own copy."""
 
     values: np.ndarray
     condition_ratio: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError(f"values must be a vector of length >= 1, got shape {v.shape}")
         if not np.all(np.isfinite(v)) or v[-1] <= 0.0:

@@ -31,7 +31,7 @@ from .gaussian import (
     fgvi_solve,
     shrinkage_matrix,
 )
-from .generators import _check_seed
+from .generators import _check_dimension, _check_seed
 
 __all__ = [
     "MixtureTarget",
@@ -75,7 +75,7 @@ class MixtureTarget:
     """Gaussian mixture with shared spherical component covariance.
 
     ``weights`` must sum to one; ``means`` is (components, n); every
-    component has covariance component_variance * I.
+    component has covariance component_variance * I.  Both are own copies.
     """
 
     weights: np.ndarray
@@ -83,8 +83,8 @@ class MixtureTarget:
     component_variance: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.means, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        m = np.array(self.means, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError(f"weights must be a vector, got shape {w.shape}")
         if m.ndim != 2 or m.shape[0] != w.size:
@@ -245,7 +245,7 @@ class VariationalState:
         return np.exp(2.0 * self.log_std)
 
     def as_factorized(self) -> FactorizedGaussian:
-        return FactorizedGaussian(mean=self.mean.copy(), variances=self.variances)
+        return FactorizedGaussian(mean=self.mean, variances=self.variances)
 
 
 def _elbo_terms(
@@ -373,8 +373,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     """
     if config is None:
         config = OptimizerConfig()
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_dimension(n)
 
     rng = np.random.default_rng(config.seed)
     if config.init_mean is not None:
@@ -390,8 +389,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     samples, window, max_steps = config.mc_samples, config.window, config.max_steps
     block = max(1, min(window, _NOISE_BLOCK_VALUES // (samples * n)))
     first_moment, second_moment, total = np.zeros((3, 2 * n))
-    # max_steps is a cap, not an estimate: the buffer doubles as steps are taken.
-    elbo_values = np.empty(min(max_steps, 1024))
+    elbo_values: list[float] = []
     previous: tuple[float, float] | None = None
     stationary_since: int | None = None
     stop_reason = "max_steps"
@@ -418,14 +416,12 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
             # A scale that underflows leaves the ELBO finite but the path
             # gradient, through u / sigma, infinite.
             if not (math.isfinite(elbo) and math.isfinite(gradient.sum())):
-                trace = tuple(zip(range(1, step), elbo_values[: step - 1].tolist()))
+                trace = tuple(zip(range(1, step), elbo_values))
                 state = VariationalState(mean.copy(), log_std.copy(), step, trace, "diverged")
                 raise DivergenceError(
                     f"ELBO or its gradient became non-finite at step {step}", step, state
                 )
-            if step > elbo_values.size:
-                elbo_values = np.concatenate((elbo_values, np.empty(elbo_values.size)))
-            elbo_values[step - 1] = elbo
+            elbo_values.append(elbo)
 
             first_moment = ADAM_BETA1 * first_moment + (1.0 - ADAM_BETA1) * gradient
             second_moment = ADAM_BETA2 * second_moment + (1.0 - ADAM_BETA2) * (gradient * gradient)
@@ -435,7 +431,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
             total += params
 
             if step % window == 0:
-                window_values = elbo_values[step - window: step]
+                window_values = np.array(elbo_values[step - window :])
                 current = (
                     float(window_values.sum() / window),
                     float(window_values.var(ddof=1)) if window > 1 else 0.0,
@@ -450,7 +446,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
                 previous = current
 
     averaged = total / (step - average_from + 1)
-    trace = tuple(zip(range(1, step + 1), elbo_values[:step].tolist()))
+    trace = tuple(zip(range(1, step + 1), elbo_values))
     return VariationalState(averaged[:n], averaged[n:], step, trace, stop_reason)
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "gaussian_entropy",
     "decompose",
     "constant_offdiag_closed_forms",
-    "reverse_kl_asymptote",
     "ConditioningError",
     "IndefiniteError",
 ]
@@ -111,12 +110,13 @@ def _correlation_entries(cov: np.ndarray) -> np.ndarray:
     return c
 
 
-def _real_array(x, what: str) -> np.ndarray:
-    """x as a float array; complex input is refused, not cut to its real part."""
+def _real_array(x, what: str, copy: bool = False) -> np.ndarray:
+    """x as a float array, a new one if ``copy``; complex input is refused,
+    not cut to its real part."""
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got dtype {x.dtype}")
-    return x.astype(float, copy=False)
+    return x.astype(float, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,10 @@ class GaussianTarget:
     Both must be real and finite: complex input is refused, not cut to its
     real part.  The covariance is validated symmetric (relative tolerance
     1e-12) and positive definite at construction.  The target keeps its own
-    copy: exactly symmetric input is tested bit for bit and copied, other
-    input is stored as 0.5 * (Sigma + Sigma^T).  Only its correlation matrix
-    C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is blind to
-    how each coordinate is scaled.  log|C| is read off the factor L_C, which
+    copy of both: exactly symmetric input is tested bit for bit and copied,
+    other input is stored as 0.5 * (Sigma + Sigma^T).  Only its correlation
+    matrix C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is
+    blind to how each coordinate is scaled.  log|C| is read off the factor L_C, which
     is then inverted in its own memory: the target keeps L_C^-1, S_ii =
     (C^-1)_ii and log|C|, and log|Sigma| and Sigma's whitening follow.
     """
@@ -138,7 +138,7 @@ class GaussianTarget:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = _real_array(self.mean, "mean")
+        mean = _real_array(self.mean, "mean", copy=True)
         cov = _real_array(self.covariance, "covariance")
         if mean.ndim != 1 or mean.size < 1:
             raise ValueError(f"mean must be a vector of length >= 1, got shape {mean.shape}")
@@ -178,14 +178,14 @@ class GaussianTarget:
 
 @dataclass(frozen=True)
 class FactorizedGaussian:
-    """A Gaussian with diagonal covariance: mean vector plus variances."""
+    """A Gaussian with diagonal covariance: own copies of mean and variances."""
 
     mean: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        var = np.asarray(self.variances, dtype=float)
+        mean = np.array(self.mean, dtype=float)
+        var = np.array(self.variances, dtype=float)
         if mean.ndim != 1 or var.ndim != 1 or mean.size != var.size or mean.size < 1:
             raise ValueError(
                 f"mean and variances must be vectors of equal length >= 1, "
@@ -214,12 +214,12 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class ShrinkageMatrix:
-    """Diagonal of per-coordinate variance ratios Sigma_ii / Psi_ii."""
+    """Own copy of the per-coordinate variance ratios Sigma_ii / Psi_ii."""
 
     diagonal: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
+        d = np.array(self.diagonal, dtype=float)
         if d.ndim != 1 or d.size < 1:
             raise ValueError(f"diagonal must be a vector of length >= 1, got shape {d.shape}")
         if not np.isfinite(d).all() or (d <= 0.0).any():
@@ -252,7 +252,8 @@ _LOG_DET_C_CEIL = 1e-10
 class DecompositionReport:
     """Entropy-gap decomposition of one Gaussian target.
 
-    Invariants enforced at construction: the gap equals
+    Invariants enforced at construction: every field is finite (else
+    OverflowError), the gap equals
     ``(log_det_S + log_det_C) / 2`` within 1e-9 absolute and ``kl_q_p``
     within 1e-9 relative, which from :func:`decompose` only rounding can
     break, and the two log-determinants carry their analytic signs.
@@ -267,6 +268,9 @@ class DecompositionReport:
     condition_number: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise OverflowError(f"{name} is not finite: {value!r}")
         recomposed = 0.5 * self.log_det_S + 0.5 * self.log_det_C
         if abs(self.entropy_gap - recomposed) > _GAP_IDENTITY_ATOL:
             raise ValueError(
@@ -304,7 +308,7 @@ def fgvi_solve(target: GaussianTarget) -> FactorizedGaussian:
     correlation.
     """
     variances = target.covariance.diagonal() / target._shrinkage
-    return FactorizedGaussian(mean=target.mean.copy(), variances=variances)
+    return FactorizedGaussian(mean=target.mean, variances=variances)
 
 
 def reverse_kl_solve(target: GaussianTarget) -> FactorizedGaussian:
@@ -314,9 +318,7 @@ def reverse_kl_solve(target: GaussianTarget) -> FactorizedGaussian:
     variance Sigma_ii exactly, so the shrinkage diagonal is all ones and
     the entire entropy gap comes from lost correlation.
     """
-    return FactorizedGaussian(
-        mean=target.mean.copy(), variances=target.covariance.diagonal().copy()
-    )
+    return FactorizedGaussian(mean=target.mean, variances=target.covariance.diagonal())
 
 
 def shrinkage_matrix(target: GaussianTarget, approx: FactorizedGaussian) -> ShrinkageMatrix:
@@ -370,12 +372,14 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
 
     variances = sigma_diag / shrink
     log_det_psi = float(np.log(variances).sum())
-    # The floor checks come first: S_ii / Sigma_ii overflows on a variance below the floor.
+    # The floor checks come first: S_ii / Sigma_ii overflows on a variance below
+    # the floor, or on a subnormal one above it, whose infinite KL the report refuses.
     entropy_p = gaussian_entropy(log_det_sigma, n)
     entropy_q = gaussian_entropy(log_det_psi, n)
     gap = entropy_p - entropy_q
 
-    inv_diag = shrink / sigma_diag
+    with np.errstate(over="ignore"):
+        inv_diag = shrink / sigma_diag
     trace_term = float(variances @ inv_diag)
     kl = 0.5 * (trace_term - (log_det_psi - log_det_sigma) - n)
 
@@ -441,14 +445,3 @@ def constant_offdiag_closed_forms(n: int, eps: float) -> ConstantOffDiagClosedFo
         per_component_gap=gap_per_component,
         trace_S_over_n=trace_over_n,
     )
-
-
-def reverse_kl_asymptote(n: int, eps: float) -> float:
-    """Per-component entropy gap of the moment-matched (inclusive KL)
-    approximation on the constant off-diagonal family.
-
-    With moment matching the shrinkage term is exactly zero, so the whole
-    gap is log|C| / (2n); as n grows this approaches log(1 - eps) / 2.
-    """
-    forms = constant_offdiag_closed_forms(n, eps)
-    return forms.log_det_C / (2.0 * n)

@@ -36,6 +36,11 @@ class GenerationError(RuntimeError):
     """A generated covariance failed positive-definiteness validation."""
 
 
+def _check_dimension(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < _SEED_MAX:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
@@ -61,8 +66,7 @@ class KernelConfig:
     jitter: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
         if not self.rho > 0.0:
             raise ValueError(f"rho must be positive, got {self.rho!r}")
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
@@ -79,8 +83,7 @@ class ConstantOffDiagConfig:
     eps: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
         if not 0.0 <= self.eps < 1.0:
             raise ValueError(f"eps must lie in [0, 1), got {self.eps!r}")
 
@@ -121,8 +124,7 @@ def random_correlation_matrix(n: int, seed: int) -> CorrelationMatrix:
     to unit diagonal.  Deterministic in (n, seed).  B is exactly symmetric
     and positive definite, so it is not factored: a target built from C is.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_dimension(n)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))

@@ -29,7 +29,6 @@ from fgvi.gaussian import (
     correlation_from_covariance,
     decompose,
     fgvi_solve,
-    reverse_kl_asymptote,
     reverse_kl_solve,
     shrinkage_matrix,
 )
@@ -357,7 +356,8 @@ def test_criterion_10_reverse_kl_keeps_marginals():
             kept = reverse_kl_solve(target).variances
             if not np.array_equal(kept, np.diag(target.covariance)):
                 mismatches += 1
-    asymptote = reverse_kl_asymptote(10_000, 0.5)
+    # Moment matching leaves S = I, so the per-component gap is log|C| / (2n).
+    asymptote = constant_offdiag_closed_forms(10_000, 0.5).log_det_C / (2 * 10_000)
     limit = 0.5 * math.log(0.5)
     ok = mismatches == 0 and abs(asymptote - limit) <= 1e-3
     assert acceptance_log.record(

@@ -63,6 +63,69 @@ def test_profile_validation():
         EigenProfile(values=np.array([3.0, -0.5, 0.5]), condition_ratio=-6.0)
 
 
+def _report(**changes):
+    """A BoundsReport that holds every invariant, but for ``changes``."""
+    fields = dict(
+        n=3,
+        condition_ratio=2.0,
+        upper_log_det_S=0.5,
+        upper_log_det_C=-0.5,
+        lower_trace_S=3.0,
+        upper_trace_S=4.0,
+        joint_kl_upper=0.0,
+    )
+    return BoundsReport(**{**fields, **changes})
+
+
+# Each refusal of the module that no other test reaches: (call, type, message).
+_REFUSALS = {
+    "profile matrix": (
+        lambda: EigenProfile(np.ones((2, 2)), 1.0),
+        ValueError,
+        "values must be a vector of length >= 1, got shape (2, 2)",
+    ),
+    "profile zero eigenvalue": (
+        lambda: EigenProfile(np.array([2.0, 0.0]), 2.0),
+        ValueError,
+        "eigenvalues must be finite and positive",
+    ),
+    "profile nan eigenvalue": (
+        lambda: EigenProfile(np.array([np.nan, 1.0]), 2.0),
+        ValueError,
+        "eigenvalues must be finite and positive",
+    ),
+    "profile ratio below 1": (
+        lambda: EigenProfile(np.ones(2), 0.5),
+        ValueError,
+        "condition ratio must be >= 1, got 0.5",
+    ),
+    "report positive correlation bound": (
+        lambda: _report(upper_log_det_C=0.5),
+        ValueError,
+        "correlation bound must be non-positive, got 0.5",
+    ),
+    "report crossed trace bounds": (
+        lambda: _report(lower_trace_S=5.0),
+        ValueError,
+        "trace bounds are crossed",
+    ),
+    "report joint above separate": (
+        lambda: _report(joint_kl_upper=1.0),
+        ValueError,
+        "joint bound 1.0 exceeds the sum of the separate bounds 0.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals(case):
+    call, kind, message = _REFUSALS[case]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------- trivial ratio
 
 

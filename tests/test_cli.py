@@ -146,6 +146,15 @@ def test_matrix_file_below_the_log_det_floor_fails_before_dividing(tmp_path, cap
     assert "is below -700.0" in capsys.readouterr().err
 
 
+def test_matrix_file_with_a_subnormal_variance_is_a_numerical_failure(tmp_path, capsys):
+    """log|Sigma| / n is above the floor, but 1 / Sigma_00 overflows: the
+    report refuses the infinite KL, with no warning and no row written."""
+    path = tmp_path / "subnormal.txt"
+    path.write_text("2\n1e-320 0\n0 1e300\n")
+    assert main(["analyze", "--matrix-file", str(path)]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: kl_q_p is not finite: inf\n")
+
+
 # ----------------------------------------------------------------- sweep
 
 

@@ -27,6 +27,7 @@ from fgvi.generators import (
     ConstantOffDiagConfig,
     KernelConfig,
     constant_offdiag_target,
+    random_correlation_matrix,
     squared_exponential_target,
 )
 
@@ -81,6 +82,60 @@ def test_mixture_validation():
         MixtureTarget(
             weights=np.array([0.5, 0.5]), means=np.zeros(3), component_variance=1.0
         )
+
+
+def _standard_normal_density(z):
+    return -0.5 * (z * z).sum(axis=1), -z
+
+
+# Each refusal of the module that no other test reaches, and the one
+# dimension rule of every entry point that takes n: (call, type, message).
+_REFUSALS = {
+    "weights matrix": (
+        lambda: MixtureTarget(np.full((2, 1), 0.5), np.zeros((2, 2)), 1.0),
+        ValueError,
+        "weights must be a vector, got shape (2, 1)",
+    ),
+    "weights nan": (
+        lambda: MixtureTarget(np.array([np.nan, 0.5]), np.zeros((2, 2)), 1.0),
+        ValueError,
+        "weights and means must be finite",
+    ),
+    "means infinite": (
+        lambda: MixtureTarget(np.array([0.5, 0.5]), np.array([[np.inf], [0.0]]), 1.0),
+        ValueError,
+        "weights and means must be finite",
+    ),
+    "n = 0 in KernelConfig": (
+        lambda: KernelConfig(n=0, rho=1.0, seed=0),
+        ValueError,
+        "n must be a positive integer, got 0",
+    ),
+    "n = 0 in ConstantOffDiagConfig": (
+        lambda: ConstantOffDiagConfig(n=0, eps=0.5),
+        ValueError,
+        "n must be a positive integer, got 0",
+    ),
+    "n = 0 in random_correlation_matrix": (
+        lambda: random_correlation_matrix(0, 0),
+        ValueError,
+        "n must be a positive integer, got 0",
+    ),
+    "n = 0 in fit_fgvi": (
+        lambda: fit_fgvi(_standard_normal_density, 0),
+        ValueError,
+        "n must be a positive integer, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals(case):
+    call, kind, message = _REFUSALS[case]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
 
 
 def test_single_component_density_matches_scipy():

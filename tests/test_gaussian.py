@@ -16,12 +16,12 @@ from fgvi.gaussian import (
     FactorizedGaussian,
     GaussianTarget,
     IndefiniteError,
+    ShrinkageMatrix,
     constant_offdiag_closed_forms,
     correlation_from_covariance,
     decompose,
     fgvi_solve,
     gaussian_entropy,
-    reverse_kl_asymptote,
     reverse_kl_solve,
     shrinkage_matrix,
 )
@@ -221,6 +221,94 @@ def test_report_rejects_negative_shrinkage_term():
             kl_q_p=-0.5,
             condition_number=1.0,
         )
+
+
+def _report(**changes):
+    """A DecompositionReport that holds every invariant, but for ``changes``."""
+    fields = dict(
+        log_det_S=0.2,
+        log_det_C=-0.2,
+        entropy_p=1.0,
+        entropy_q=1.0,
+        entropy_gap=0.0,
+        kl_q_p=0.0,
+        condition_number=1.5,
+    )
+    return DecompositionReport(**{**fields, **changes})
+
+
+# Each refusal of the module that no other test reaches: (call, type, message).
+_REFUSALS = {
+    "non-square covariance": (
+        lambda: GaussianTarget(np.zeros(2), np.ones((2, 3))),
+        ValueError,
+        "covariance must be a square matrix, got shape (2, 3)",
+    ),
+    "matrix mean": (
+        lambda: GaussianTarget(np.zeros((1, 1)), np.eye(1)),
+        ValueError,
+        "mean must be a vector of length >= 1, got shape (1, 1)",
+    ),
+    "factorized lengths differ": (
+        lambda: FactorizedGaussian(np.zeros(2), np.ones(3)),
+        ValueError,
+        "mean and variances must be vectors of equal length >= 1, got shapes (2,) and (3,)",
+    ),
+    "factorized mean not finite": (
+        lambda: FactorizedGaussian(np.array([np.nan, 0.0]), np.ones(2)),
+        ValueError,
+        "mean and variances must be finite",
+    ),
+    "shrinkage matrix": (
+        lambda: ShrinkageMatrix(np.ones((2, 2))),
+        ValueError,
+        "diagonal must be a vector of length >= 1, got shape (2, 2)",
+    ),
+    "shrinkage not finite": (
+        lambda: ShrinkageMatrix(np.array([1.0, np.inf])),
+        ValueError,
+        "shrinkage ratios must be finite and positive",
+    ),
+    "report KL not finite": (
+        lambda: _report(kl_q_p=math.inf),
+        OverflowError,
+        "kl_q_p is not finite: inf",
+    ),
+    "report entropy nan": (
+        lambda: _report(entropy_p=math.nan, entropy_gap=math.nan),
+        OverflowError,
+        "entropy_p is not finite: nan",
+    ),
+    "report positive log_det_C": (
+        lambda: _report(log_det_S=0.1, log_det_C=0.1, entropy_gap=0.1, kl_q_p=0.1),
+        ValueError,
+        "log_det_C must be non-positive, got 0.1",
+    ),
+    "report KL off the gap": (
+        lambda: _report(kl_q_p=0.5),
+        ValueError,
+        "entropy gap 0.0 does not match KL 0.5",
+    ),
+    "report condition below 1": (
+        lambda: _report(condition_number=0.5),
+        ValueError,
+        "condition number must be >= 1, got 0.5",
+    ),
+    "entropy of a nan log-det": (
+        lambda: gaussian_entropy(math.nan, 2),
+        ValueError,
+        "log-determinant must be finite, got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals(case):
+    call, kind, message = _REFUSALS[case]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------- correlation rescaling
@@ -587,11 +675,3 @@ def test_closed_forms_record_is_frozen():
     with pytest.raises(AttributeError):
         forms.psi_ratio = 1.0
 
-
-def test_reverse_kl_asymptote_values():
-    assert reverse_kl_asymptote(10, 0.0) == 0.0
-    # per-component gap tends to (1/2) log(1 - eps) from below
-    value = reverse_kl_asymptote(10000, 0.5)
-    assert value == pytest.approx(0.5 * math.log(0.5), abs=1e-3)
-    with pytest.raises(ValueError):
-        reverse_kl_asymptote(10, -0.5)
