@@ -189,8 +189,29 @@ def resolve_config(subcommand: str, flags: dict, config_path: str | None) -> dic
     return effective
 
 
+def _float_text(value) -> str:
+    return format(value, ".17g")
+
+
+def _quoted(text: str) -> str:
+    """A str as a JSON string token.  Every character the encoder or
+    _JSON_ESCAPES escapes is a quote, a backslash or unprintable."""
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return _encode_string(text).translate(_JSON_ESCAPES)
+
+
+# The types of nearly every cell, by exact type: one dict lookup per cell
+# instead of a chain of isinstance checks.  np.float64 formats as float does.
+_TEXT_BY_TYPE = {float: _float_text, np.float64: _float_text, int: str, str: str}
+_JSON_BY_TYPE = {**_TEXT_BY_TYPE, str: _quoted}
+
+
 def _text(value) -> str:
     """A value as written in CSV cells, metadata and the config hash."""
+    fast = _TEXT_BY_TYPE.get(type(value))
+    if fast is not None:
+        return fast(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -211,13 +232,16 @@ def config_hash(subcommand: str, effective: dict) -> str:
 
 def _json(value) -> str:
     """A value as a JSON token: numbers and booleans as in CSV."""
+    fast = _JSON_BY_TYPE.get(type(value))
+    if fast is not None:
+        return fast(value)
     if value is None:
         return "null"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json(v) for v in value) + "]"
     if isinstance(value, (bool, int, float, np.number)):
         return _text(value)
-    return _encode_string(str(value)).translate(_JSON_ESCAPES)
+    return _quoted(str(value))
 
 
 def _json_line(record: dict) -> str:
@@ -268,8 +292,13 @@ def write_table(stream, fmt: str, metadata: dict, columns: list[str], rows: list
     else:
         stream.write(_json_line({"record": "metadata", **metadata}) + "\n")
         stream.write(_json_line({"record": "header", "columns": columns}) + "\n")
+        # Each row prints as {"record": "row", **dict(zip(columns, line))}
+        # would: a column named "record" or named twice keeps the first place.
+        slots = {"record": len(columns), **{col: i for i, col in enumerate(columns)}}
+        fields = [(f'"{col}": ', i) for col, i in slots.items()]
         for line in cells:
-            stream.write(_json_line({"record": "row", **dict(zip(columns, line))}) + "\n")
+            line.append("row")
+            stream.write("{" + ", ".join([key + _json(line[i]) for key, i in fields]) + "}\n")
 
 
 def read_matrix_file(path: str) -> np.ndarray:

@@ -51,6 +51,11 @@ __all__ = [
 
 LogDensityFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+# The ufunc reductions behind ndarray.sum and ndarray.max, called directly on
+# the per-step path: same ufunc and axis, so the same bits, without the
+# Python frame those methods pass through.
+_add = np.add.reduce
+_maximum = np.maximum.reduce
 # A fit draws its noise in blocks of up to one window of steps and 2^17 values.
 _NOISE_BLOCK_VALUES = 2**17
 ADAM_BETA1 = 0.9
@@ -124,21 +129,21 @@ def mixture_log_density_fn(target: MixtureTarget) -> LogDensityFn:
     log w_k + log N(z | mu_k, sigma^2 I) has its constant part, log w_k
     plus the normalizer, formed once here.
     """
-    means, var = target.means, target.component_variance
-    log_norm = -0.5 * target.n * (math.log(2.0 * math.pi) + math.log(var))
+    means, var, n = target.means, target.component_variance, target.n
+    log_norm = -0.5 * n * (math.log(2.0 * math.pi) + math.log(var))
     log_weights = np.log(target.weights) + log_norm
 
     def fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _check_batch(z, target.n)
+        _check_batch(z, n)
         diff = z[:, None, :] - means
-        terms = log_weights - 0.5 * (diff * diff).sum(axis=2) / var
-        top = terms.max(axis=1)
+        terms = log_weights - 0.5 * _add(diff * diff, 2) / var
+        top = _maximum(terms, 1)
         weights = np.exp(terms - top[:, None])
-        total = weights.sum(axis=1)
+        total = _add(weights, 1)
         resp = weights / total[:, None]
-        # The pull toward component k is mu_k - z = -diff, exactly.
-        grads = -(resp[:, :, None] * diff).sum(axis=1) / var
-        return top + np.log(total), grads
+        # The pull toward component k is mu_k - z = -diff; negating var
+        # instead of the sum is exact.
+        return top + np.log(total), _add(resp[:, :, None] * diff, 1) / -var
 
     return fn
 
@@ -150,14 +155,14 @@ def gaussian_log_density_fn(target: GaussianTarget) -> LogDensityFn:
     call is then half = (z - mean) W^T, log p from the squared norm of half,
     and the gradient -Sigma^-1 (z - mean) = -half W.
     """
-    whiten = target.whitening()
-    norm = -0.5 * (target.n * _LOG_TWO_PI + target.log_det_covariance)
-    mean = target.mean
+    whiten, n = target.whitening(), target.n
+    norm = -0.5 * (n * _LOG_TWO_PI + target.log_det_covariance)
+    mean, whiten_t = target.mean, whiten.T
 
     def fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _check_batch(z, target.n)
-        half = (z - mean) @ whiten.T
-        return norm - 0.5 * (half * half).sum(axis=1), -half @ whiten
+        _check_batch(z, n)
+        half = (z - mean) @ whiten_t
+        return norm - 0.5 * _add(half * half, 1), -half @ whiten
 
     return fn
 
@@ -255,7 +260,7 @@ def _elbo_terms(
     noise: np.ndarray,
     half_norms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample, log p(z) + |u|^2 / 2, which _log_q_offset(log_std)
+    """Per sample, log p(z) + |u|^2 / 2, which sum(log_std) + n/2 log(2 pi)
     completes to the ELBO sample log p(z) - log q(z), and the (m, 2n)
     gradient, mean part first; ``half_norms`` holds |u|^2 / 2 per row u."""
     scale = np.exp(log_std)
@@ -263,11 +268,6 @@ def _elbo_terms(
     values, grads = log_density(mean + offsets)
     path = grads + noise / scale
     return values + half_norms, np.concatenate((path, path * offsets), axis=1)
-
-
-def _log_q_offset(log_std: np.ndarray) -> float:
-    """-log q(z) - |u|^2 / 2 = sum(log_std) + n/2 log(2 pi)."""
-    return float(log_std.sum()) + 0.5 * log_std.size * _LOG_TWO_PI
 
 
 def elbo_sample_terms(
@@ -292,10 +292,12 @@ def elbo_sample_terms(
     of all three is zero, whatever u is.  Returns (elbo_samples,
     grad_mean_samples, grad_log_std_samples).
     """
-    half_norms = 0.5 * (noise * noise).sum(axis=-1)
+    half_norms = 0.5 * _add(noise * noise, -1)
     values, gradients = _elbo_terms(log_density, mean, log_std, noise, half_norms)
     n = mean.size
-    return values + _log_q_offset(log_std), gradients[:, :n], gradients[:, n:]
+    # -log q(z) - |u|^2 / 2 = sum(log_std) + n/2 log(2 pi)
+    offset = float(_add(log_std)) + 0.5 * n * _LOG_TWO_PI
+    return values + offset, gradients[:, :n], gradients[:, n:]
 
 
 def _window_stop(
@@ -387,6 +389,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     mean, log_std = params[:n], params[n:]
 
     samples, window, max_steps = config.mc_samples, config.window, config.max_steps
+    log_q_constant = 0.5 * n * _LOG_TWO_PI
     block = max(1, min(window, _NOISE_BLOCK_VALUES // (samples * n)))
     first_moment, second_moment, total = np.zeros((3, 2 * n))
     elbo_values: list[float] = []
@@ -407,15 +410,15 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
             offset = (step - 1) % block
             if offset == 0:
                 noise = rng.standard_normal((min(block, max_steps - step + 1), samples, n))
-                half_norms = 0.5 * (noise * noise).sum(axis=-1)
+                half_norms = 0.5 * _add(noise * noise, -1)
             values, gradients = _elbo_terms(
                 log_density, mean, log_std, noise[offset], half_norms[offset]
             )
-            elbo = float(values.sum() / samples) + _log_q_offset(log_std)
-            gradient = gradients.sum(axis=0) / samples
+            elbo = float(_add(values)) / samples + (float(_add(log_std)) + log_q_constant)
+            gradient = _add(gradients, 0) / samples
             # A scale that underflows leaves the ELBO finite but the path
             # gradient, through u / sigma, infinite.
-            if not (math.isfinite(elbo) and math.isfinite(gradient.sum())):
+            if not (math.isfinite(elbo) and math.isfinite(_add(gradient))):
                 trace = tuple(zip(range(1, step), elbo_values))
                 state = VariationalState(mean.copy(), log_std.copy(), step, trace, "diverged")
                 raise DivergenceError(

@@ -322,12 +322,16 @@ def reverse_kl_solve(target: GaussianTarget) -> FactorizedGaussian:
 
 
 def shrinkage_matrix(target: GaussianTarget, approx: FactorizedGaussian) -> ShrinkageMatrix:
-    """Per-coordinate variance ratios S_ii = Sigma_ii / Psi_ii."""
+    """Per-coordinate variance ratios S_ii = Sigma_ii / Psi_ii.  A ratio past
+    the double range, as over a subnormal Psi_ii, is refused by
+    ShrinkageMatrix."""
     if approx.n != target.n:
         raise ValueError(
             f"dimension mismatch: target has n={target.n}, approximation has n={approx.n}"
         )
-    return ShrinkageMatrix(diagonal=target.covariance.diagonal() / approx.variances)
+    with np.errstate(over="ignore"):
+        ratios = target.covariance.diagonal() / approx.variances
+    return ShrinkageMatrix(diagonal=ratios)
 
 
 def gaussian_entropy(covariance_log_det: float, n: int) -> float:
@@ -371,6 +375,12 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     log_det_sigma = target.log_det_covariance
 
     variances = sigma_diag / shrink
+    if not variances.all():
+        i = int(np.argmin(variances))
+        raise ValueError(
+            f"factorized variance Psi_ii of coordinate {i} underflows to zero: "
+            f"Sigma_ii = {float(sigma_diag[i])!r}, S_ii = {float(shrink[i])!r}"
+        )
     log_det_psi = float(np.log(variances).sum())
     # The floor checks come first: S_ii / Sigma_ii overflows on a variance below
     # the floor, or on a subnormal one above it, whose infinite KL the report refuses.

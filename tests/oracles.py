@@ -10,8 +10,16 @@ bottom eigenvalue (one flexible entry, or all interior entries equal)
 confirm that no interior point does better and catch the stationary
 optima of the concave/convex interior problems.  Exact vertex candidates
 are always included so comparisons are not limited by grid resolution.
+
+``reference_table`` is the arbiter of the CLI's table writer: the general,
+isinstance-driven cell formatting and dict-per-row JSON records the writer
+used before its exact-type fast path, kept whole so its bytes and its
+refusals can be compared with the writer's.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -111,3 +119,75 @@ def oracle_joint_kl(n: int, ratio: float, step: float = 1e-6) -> float:
             )
             best = max(best, float(np.max(value)))
     return 0.5 * (best - n * math.log(n))
+
+
+_METADATA_ESCAPES = str.maketrans(
+    {c: c.encode("unicode_escape").decode() for c in "\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+_JSON_ESCAPES = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"})
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode
+_FLOAT_TYPES = (float, np.float16, np.float32, np.float64, np.longdouble)
+
+
+def _text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, (list, tuple)):
+        return ",".join(_text(v) for v in value)
+    return str(value)
+
+
+def _json(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json(v) for v in value) + "]"
+    if isinstance(value, (bool, int, float, np.number)):
+        return _text(value)
+    return _encode_string(str(value)).translate(_JSON_ESCAPES)
+
+
+def _json_line(record: dict) -> str:
+    return "{" + ", ".join(f'"{key}": {_json(value)}' for key, value in record.items()) + "}"
+
+
+def _finite(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return type(value) not in _FLOAT_TYPES or bool(np.isfinite(value))
+
+
+def reference_table(fmt: str, metadata: dict, columns: list, rows: list) -> str:
+    """The table write_table should emit, or ArithmeticError with the
+    message its refusal should carry."""
+    for key, value in metadata.items():
+        if not _finite(value):
+            raise ArithmeticError(f"metadata {key} is not finite: {value}")
+    cells = [[row.get(col) for col in columns] for row in rows]
+    floats = [value for line in cells for value in line if type(value) in _FLOAT_TYPES]
+    if not np.isfinite(floats).all():
+        index, col, value = next(
+            (index, col, value)
+            for index, line in enumerate(cells)
+            for col, value in zip(columns, line)
+            if not _finite(value)
+        )
+        raise ArithmeticError(f"column {col} of row {index} is not finite: {value}")
+    stream = io.StringIO()
+    if fmt == "csv":
+        for key, value in metadata.items():
+            stream.write(f"# {key}={_text(value).translate(_METADATA_ESCAPES)}\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(columns)
+        for line in cells:
+            writer.writerow([_text(value) for value in line])
+    else:
+        stream.write(_json_line({"record": "metadata", **metadata}) + "\n")
+        stream.write(_json_line({"record": "header", "columns": columns}) + "\n")
+        for line in cells:
+            stream.write(_json_line({"record": "row", **dict(zip(columns, line))}) + "\n")
+    return stream.getvalue()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fgvi
 from fgvi import cli
@@ -30,6 +31,7 @@ from fgvi.cli import (
 from fgvi.gaussian import GaussianTarget, decompose
 
 from conftest import random_spd_target
+from oracles import reference_table
 
 
 def run_cli(*args, capsys=None):
@@ -153,6 +155,20 @@ def test_matrix_file_with_a_subnormal_variance_is_a_numerical_failure(tmp_path, 
     path.write_text("2\n1e-320 0\n0 1e300\n")
     assert main(["analyze", "--matrix-file", str(path)]) == 3
     assert capsys.readouterr() == ("", "numerical failure: kl_q_p is not finite: inf\n")
+
+
+def test_matrix_file_whose_factorized_variance_underflows_is_bad_input(tmp_path, capsys):
+    """Above the log-det floor, but Psi_00 = Sigma_00 / S_00 underflows to
+    zero: refused before its log, naming the coordinate, with no warning."""
+    path = tmp_path / "underflow.txt"
+    path.write_text("2\n5e-324 2e-162\n2e-162 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["analyze", "--matrix-file", str(path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: factorized variance Psi_ii of coordinate 0 underflows to zero")
 
 
 # ----------------------------------------------------------------- sweep
@@ -942,6 +958,69 @@ def test_write_table_refuses_non_finite_values():
                 write_table(stream, fmt, metadata, columns, rows)
             assert stream.getvalue() == ""
     assert issubclass(NonFiniteOutputError, ArithmeticError)
+
+
+# Characters the JSON and CSV escapes treat apart: quote, backslash, C0
+# controls, DEL and the line breaks JSON leaves raw (U+0085, U+2028, U+2029);
+# then separators, printable ASCII and non-ASCII text.
+_CHARS = '"\\\x00\x01\x1f\n\r\t\x0b\x0c\x1c\x7f\x85\u2028\u2029,#= aZ9_.-\xe9\xa0\u0300\U0001f600'
+_STRINGS = st.one_of(
+    st.text(st.sampled_from(_CHARS), max_size=6),
+    st.text(st.sampled_from('"\\ a,='), min_size=1, max_size=4),
+)
+_SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    _STRINGS,
+)
+_CELLS = st.one_of(_STRINGS, _SCALARS, st.lists(_SCALARS, max_size=3))
+_NON_FINITE = st.sampled_from(
+    [math.nan, -math.inf, np.float64(math.inf), np.float32(math.nan), [1.0, math.nan]]
+)
+
+
+@st.composite
+def _tables(draw):
+    """(metadata, columns, rows); a column may repeat or be named "record",
+    and some tables carry one non-finite value in a cell or in the
+    metadata."""
+    metadata = draw(st.dictionaries(_STRINGS, _CELLS, max_size=4))
+    columns = draw(st.lists(st.one_of(st.just("record"), _STRINGS), max_size=5))
+    line = st.lists(_CELLS, min_size=len(columns), max_size=len(columns))
+    rows = draw(st.lists(line.map(lambda cells: dict(zip(columns, cells))), max_size=6))
+    where = draw(st.sampled_from(["cell", "nowhere", "metadata", "nowhere"]))
+    if where == "metadata":
+        metadata[draw(_STRINGS)] = draw(_NON_FINITE)
+    elif where == "cell" and rows and columns:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.sampled_from(columns))] = draw(_NON_FINITE)
+    return metadata, columns, rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=_tables())
+def test_write_table_matches_reference_renderer(table):
+    """In both formats, write_table emits the reference renderer's bytes,
+    or refuses the table with its message and writes nothing."""
+    metadata, columns, rows = table
+    for fmt in ("csv", "json-lines"):
+        stream = io.StringIO()
+        try:
+            expected = reference_table(fmt, metadata, columns, rows)
+        except ArithmeticError as exc:
+            with pytest.raises(NonFiniteOutputError) as info:
+                write_table(stream, fmt, metadata, columns, rows)
+            assert str(info.value) == str(exc)
+            assert stream.getvalue() == ""
+        else:
+            write_table(stream, fmt, metadata, columns, rows)
+            assert stream.getvalue() == expected
 
 
 def test_non_finite_output_exit_code(monkeypatch, tmp_path, capsys):

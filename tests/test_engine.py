@@ -613,13 +613,31 @@ def test_fit_is_deterministic():
     assert first.elbo_trace == second.elbo_trace
 
 
+def _spread_mixture(components, n):
+    """Overlapping components, weights 1..K normalized, sigma^2 = 1.7: every
+    component carries responsibility, so every term of the component-axis
+    sums reaches the fit."""
+    rng = np.random.default_rng(components)
+    weights = np.arange(1.0, components + 1.0)
+    return MixtureTarget(
+        weights=weights / weights.sum(),
+        means=1.5 * rng.standard_normal((components, n)),
+        component_variance=1.7,
+    )
+
+
 def _pinned_cases():
-    """(density, n, init_mean) for the three pinned fit paths."""
+    """(density, n, init_mean) for the five pinned fit paths."""
     gaussian = constant_offdiag_target(ConstantOffDiagConfig(n=5, eps=0.5))
     cases = {"gauss5": (gaussian_log_density_fn(gaussian), 5, None)}
-    for name, n in (("mix2", 2), ("mix8", 8)):
-        target = _default_mixture(n=n)
-        cases[name] = (mixture_log_density_fn(target), n, mixture_init_mean(target, 0))
+    targets = {
+        "mix2": _default_mixture(n=2),
+        "mix8": _default_mixture(n=8),
+        "mixk3": _spread_mixture(3, 3),
+        "mixk9": _spread_mixture(9, 5),
+    }
+    for name, target in targets.items():
+        cases[name] = (mixture_log_density_fn(target), target.n, mixture_init_mean(target, 0))
     return cases
 
 
@@ -628,7 +646,9 @@ def _pinned_cases():
 # sticking-the-landing estimator replaced the analytic-entropy one; a change
 # that only makes steps cheaper must not move the optimization path.  The
 # (mean, log_std) pairs were re-recorded when a uniform iterate average
-# replaced the exponential one, with the traces unchanged.
+# replaced the exponential one, with the traces unchanged.  mixk3 and mixk9,
+# with 3 and 9 components, guard the sums over the component axis, which
+# numpy's pairwise summation unrolls from 8 terms on.
 PINNED_FITS = {
     "mix2": (
         ["0x1.3ffffffff4951p+2", "0x1.52ad0dad750f2p-36"],
@@ -643,6 +663,18 @@ PINNED_FITS = {
          "-0x1.109c6d0413c41p-36", "0x1.5140999f263c3p-36", "0x1.701a6a17879d2p-18",
          "0x1.d1646e574be97p-31", "0x1.a89969e3185d4p-35"],
         ["-0x1.1fd91b3f811d4p+1", "-0x1.5ddb5364dd608p-1", "-0x1.62e42fe353148p-1"],
+    ),
+    "mixk3": (
+        ["-0x1.0dee4c70be7b8p+1", "-0x1.09a03a4edb3f5p-1", "-0x1.c1ac0572a8ccap-1"],
+        ["0x1.18b13b4736111p-1", "0x1.25f87f6dd1399p-2", "0x1.3ccae420bbfdbp-2"],
+        ["-0x1.19249f723c93cp+0", "-0x1.031f4e1929cb0p-2", "-0x1.032d5404c3930p-2"],
+    ),
+    "mixk9": (
+        ["0x1.c80c625fbfeb7p-5", "0x1.004d8ca926b36p-1", "-0x1.37e70a6b33abap-1",
+         "0x1.75a3fbfb0cfa8p-4", "-0x1.1737450188fd3p+0"],
+        ["0x1.6362fbc5551adp-2", "0x1.d94ac92752303p-2", "0x1.1a688800e429dp-1",
+         "0x1.1e1478671225ap-1", "0x1.b604e7320db7ap-2"],
+        ["-0x1.f2a4e440d4860p+0", "-0x1.fb1aca5b8ba40p-3", "-0x1.61c8e68154ce0p-3"],
     ),
     "gauss5": (
         ["0x1.047b65e3edd88p-6", "0x1.e774baed5102cp-7", "0x1.4c503b7ce302cp-6",

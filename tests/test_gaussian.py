@@ -415,6 +415,15 @@ def test_shrinkage_dimension_mismatch():
         shrinkage_matrix(target, approx)
 
 
+
+def test_shrinkage_over_a_subnormal_variance_is_refused_without_warning():
+    """Sigma_00 / Psi_00 = 1 / 5e-324 overflows: ShrinkageMatrix refuses the
+    infinite ratio, and the division's overflow is no RuntimeWarning."""
+    target = GaussianTarget(mean=np.zeros(2), covariance=np.eye(2))
+    approx = FactorizedGaussian(mean=np.zeros(2), variances=np.array([5e-324, 1.0]))
+    with pytest.raises(ValueError, match="finite and positive"):
+        shrinkage_matrix(target, approx)
+
 # --------------------------------------------------------------- entropy
 
 
