@@ -254,6 +254,9 @@ class NonFiniteOutputError(ArithmeticError):
 
 # Float types by exact type: a set lookup, far cheaper per cell than isinstance.
 _FLOAT_TYPES = frozenset({float, np.float16, np.float32, np.float64, np.longdouble})
+# Cells of these exact types are floats, checked together, or hold no float;
+# any other cell, a list or tuple among them, goes through _finite.
+_PLAIN_TYPES = _FLOAT_TYPES | {int, str, bool, type(None)}
 
 
 def _finite(value) -> bool:
@@ -267,14 +270,16 @@ def write_table(stream, fmt: str, metadata: dict, columns: list[str], rows: list
     """Emit one table with a leading metadata record.
 
     Raises NonFiniteOutputError, before writing anything, if a metadata
-    value or a float cell is nan or infinite, in either format.
+    value or a cell is a nan or infinite float, or a list or tuple holding
+    one, in either format.
     """
     for key, value in metadata.items():
         if not _finite(value):
             raise NonFiniteOutputError(f"metadata {key} is not finite: {value}")
     cells = [[row.get(col) for col in columns] for row in rows]
     floats = [value for line in cells for value in line if type(value) in _FLOAT_TYPES]
-    if not np.isfinite(floats).all():
+    others = [value for line in cells for value in line if type(value) not in _PLAIN_TYPES]
+    if not (np.isfinite(floats).all() and all(map(_finite, others))):
         index, col, value = next(
             (index, col, value)
             for index, line in enumerate(cells)

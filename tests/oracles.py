@@ -14,7 +14,13 @@ are always included so comparisons are not limited by grid resolution.
 ``reference_table`` is the arbiter of the CLI's table writer: the general,
 isinstance-driven cell formatting and dict-per-row JSON records the writer
 used before its exact-type fast path, kept whole so its bytes and its
-refusals can be compared with the writer's.
+refusals can be compared with the writer's.  Its non-finite check looks at
+every cell, list members included.
+
+``reference_gaussian_density_fn`` and ``reference_mixture_density_fn`` are
+the engine's two density closures as they were written with Python-float
+scalars and ``@``: the same operations in the same order, so the engine's
+closures must return their values and gradients bit for bit.
 """
 
 import csv
@@ -168,15 +174,10 @@ def reference_table(fmt: str, metadata: dict, columns: list, rows: list) -> str:
         if not _finite(value):
             raise ArithmeticError(f"metadata {key} is not finite: {value}")
     cells = [[row.get(col) for col in columns] for row in rows]
-    floats = [value for line in cells for value in line if type(value) in _FLOAT_TYPES]
-    if not np.isfinite(floats).all():
-        index, col, value = next(
-            (index, col, value)
-            for index, line in enumerate(cells)
-            for col, value in zip(columns, line)
-            if not _finite(value)
-        )
-        raise ArithmeticError(f"column {col} of row {index} is not finite: {value}")
+    for index, line in enumerate(cells):
+        for col, value in zip(columns, line):
+            if not _finite(value):
+                raise ArithmeticError(f"column {col} of row {index} is not finite: {value}")
     stream = io.StringIO()
     if fmt == "csv":
         for key, value in metadata.items():
@@ -191,3 +192,32 @@ def reference_table(fmt: str, metadata: dict, columns: list, rows: list) -> str:
         for line in cells:
             stream.write(_json_line({"record": "row", **dict(zip(columns, line))}) + "\n")
     return stream.getvalue()
+
+
+def reference_gaussian_density_fn(target):
+    whiten, n = target.whitening(), target.n
+    norm = -0.5 * (n * math.log(2.0 * math.pi) + target.log_det_covariance)
+    mean, whiten_t = target.mean, whiten.T
+
+    def fn(z):
+        half = (z - mean) @ whiten_t
+        return norm - 0.5 * np.add.reduce(half * half, 1), -half @ whiten
+
+    return fn
+
+
+def reference_mixture_density_fn(target):
+    means, var, n = target.means, target.component_variance, target.n
+    log_norm = -0.5 * n * (math.log(2.0 * math.pi) + math.log(var))
+    log_weights = np.log(target.weights) + log_norm
+
+    def fn(z):
+        diff = z[:, None, :] - means
+        terms = log_weights - 0.5 * np.add.reduce(diff * diff, 2) / var
+        top = np.maximum.reduce(terms, 1)
+        weights = np.exp(terms - top[:, None])
+        total = np.add.reduce(weights, 1)
+        resp = weights / total[:, None]
+        return top + np.log(total), np.add.reduce(resp[:, :, None] * diff, 1) / -var
+
+    return fn

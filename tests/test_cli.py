@@ -944,7 +944,8 @@ def test_non_positive_correlation_eigenvalue_exit_code(tmp_path, capsys):
 def test_write_table_refuses_non_finite_values():
     columns = ["name", "value"]
     finite = [{"name": "a", "value": 1.5}, {"name": "b", "value": np.float64(-2.0)}]
-    bad_cells = (math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"))
+    bad_cells = (math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"),
+                 [1.0, math.nan], (2, -math.inf))
     for fmt in ("csv", "json-lines"):
         stream = io.StringIO()
         write_table(stream, fmt, {"tool": "fgvi", "scale": 2.0}, columns, finite)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import linalg, special, stats
 
 from fgvi import engine
@@ -32,6 +33,7 @@ from fgvi.generators import (
 )
 
 from conftest import random_spd_target
+from oracles import reference_gaussian_density_fn, reference_mixture_density_fn
 
 
 def _default_mixture(separation=10.0, n=2):
@@ -326,6 +328,36 @@ def test_elbo_terms_match_reference_on_mixtures():
         got = elbo_sample_terms(mixture_log_density_fn(target), mean, log_std, noise)
         for value, expected in zip(got, _reference_sample_terms(target, mean, log_std, noise)):
             assert np.allclose(value, expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 64),
+    m=st.integers(1, 50),
+    components=st.integers(1, 12),
+    variance=st.floats(0.05, 20.0).filter(lambda v: v != 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_density_closures_match_reference_bit_for_bit(n, m, components, variance, seed):
+    """Both closures give the reference closures' values and gradients bit
+    for bit, both run with the same BLAS.  The gauss5 pin allows 1e-12 for
+    a BLAS that rounds differently, so it cannot catch a rounding change."""
+    rng = np.random.default_rng(seed)
+    gaussian = random_spd_target(n, rng)
+    weights = rng.uniform(0.1, 1.0, components)
+    mixture = MixtureTarget(
+        weights=weights / weights.sum(),
+        means=rng.normal(0.0, 3.0, (components, n)),
+        component_variance=variance,
+    )
+    z = rng.normal(0.0, 4.0, (m, n))
+    for build, reference, target in (
+        (gaussian_log_density_fn, reference_gaussian_density_fn, gaussian),
+        (mixture_log_density_fn, reference_mixture_density_fn, mixture),
+    ):
+        for got, expected in zip(build(target)(z), reference(target)(z)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected), (build.__name__, n, m, components)
 
 
 def test_gaussian_density_fn_matches_scipy():
