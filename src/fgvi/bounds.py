@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .gaussian import _real_array
+
 __all__ = [
     "EigenProfile",
     "BoundsReport",
@@ -52,10 +54,8 @@ class EigenProfile:
     condition_ratio: float
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError(f"values must be a vector of length >= 1, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or v[-1] <= 0.0:
+        v = _real_array(self.values, "values", 1)
+        if v[-1] <= 0.0:
             raise ValueError("eigenvalues must be finite and positive")
         if np.any(np.diff(v) > 0.0):
             raise ValueError("eigenvalues must be sorted descending")

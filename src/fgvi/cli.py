@@ -44,11 +44,12 @@ from .engine import (
     mixture_log_density_fn,
     shrinkage_comparison,
 )
-from .gaussian import GaussianTarget, decompose, fgvi_solve, shrinkage_matrix
+from .gaussian import GaussianTarget, _real_array, decompose, fgvi_solve, shrinkage_matrix
 from .generators import (
     ConstantOffDiagConfig,
     GenerationError,
     KernelConfig,
+    _check_dimension,
     _check_seed,
     constant_offdiag_target,
     squared_exponential_target,
@@ -337,7 +338,7 @@ def read_matrix_file(path: str) -> np.ndarray:
 
 def write_matrix_file(path: str, matrix: np.ndarray) -> None:
     """Inverse of read_matrix_file, at full double precision."""
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = _real_array(matrix, "matrix", 2, copy=False)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{matrix.shape[0]}\n")
         for row in matrix:
@@ -515,20 +516,16 @@ def run_bounds(effective: dict) -> tuple[list[str], list[dict], int]:
 
 
 def _mixture_from_config(effective: dict) -> MixtureTarget:
-    weights = np.asarray(effective["weights"], dtype=float)
-    n = effective["n"]
-    separation = effective["separation"]
-    sigma = effective["sigma"]
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, separation, sigma = effective["n"], effective["separation"], effective["sigma"]
+    _check_dimension(n)
     if not (sigma > 0.0 and 0.0 < sigma * sigma < np.inf):
         raise ValueError(f"sigma must be positive with a finite, non-zero square, got {sigma!r}")
-    count = weights.size
+    count = len(effective["weights"])
     means = np.zeros((count, n))
     with np.errstate(over="ignore", invalid="ignore"):
         means[:, 0] = (np.arange(count) - (count - 1) / 2.0) * separation
     if np.all(np.isfinite(means)):
-        target = MixtureTarget(weights=weights, means=means, component_variance=sigma * sigma)
+        target = MixtureTarget(effective["weights"], means, component_variance=sigma * sigma)
         # The (0, 0) spread entry of mixture_moments, which would overflow
         # only after the fit.
         centered = means[:, 0] - target.weights @ means[:, 0]

@@ -28,6 +28,7 @@ from .gaussian import (
     FactorizedGaussian,
     GaussianTarget,
     ShrinkageMatrix,
+    _real_array,
     fgvi_solve,
     shrinkage_matrix,
 )
@@ -104,11 +105,9 @@ class MixtureTarget:
     component_variance: float
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        m = np.array(self.means, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError(f"weights must be a vector, got shape {w.shape}")
-        if m.ndim != 2 or m.shape[0] != w.size:
+        w = _real_array(self.weights, "weights", 1)
+        m = _real_array(self.means, "means", 2)
+        if m.shape[0] != w.size:
             raise ValueError(
                 f"means must be (components, n) with one row per weight, got {m.shape}"
             )
@@ -119,8 +118,6 @@ class MixtureTarget:
                 "component variance must be finite and positive, "
                 f"got {self.component_variance!r}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m))):
-            raise ValueError("weights and means must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
 
@@ -219,8 +216,8 @@ def mixture_moments(target: MixtureTarget) -> GaussianTarget:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the stochastic ELBO ascent.  Defaults are the recorded
-    ones; Adam's decays and guard are the module constants ADAM_*.
+    """Settings of the stochastic ELBO ascent, with its own copy of ``init_mean``.
+    Defaults are the recorded ones; Adam's decays and guard are ADAM_*.
 
     A fit stops at ``max_steps`` or at a ``window`` boundary: when two
     window means of the ELBO, and two standard errors of their difference,
@@ -237,11 +234,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mc_samples < 1 or self.max_steps < 1 or self.window < 1:
-            raise ValueError("mc_samples, max_steps and window must be positive")
-        if not (self.learning_rate > 0.0 and self.tolerance >= 0.0):
-            raise ValueError("learning_rate must be positive and tolerance non-negative")
+        for name in ("mc_samples", "max_steps", "window"):
+            _check_dimension(getattr(self, name), name)
+        if not (0.0 < self.learning_rate < math.inf and self.tolerance >= 0.0):
+            raise ValueError("learning_rate must be finite and positive, tolerance non-negative")
         _check_seed(self.seed)
+        if self.init_mean is not None:
+            object.__setattr__(self, "init_mean", _real_array(self.init_mean, "init_mean", 1))
 
 
 @dataclass(frozen=True)
@@ -398,12 +397,11 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
     _check_dimension(n)
 
     rng = np.random.default_rng(config.seed)
-    if config.init_mean is not None:
-        init_mean = np.array(config.init_mean, dtype=float)
-        if init_mean.shape != (n,) or not np.all(np.isfinite(init_mean)):
-            raise ValueError(f"init_mean must be a finite vector of length {n}")
-    else:
+    init_mean = config.init_mean
+    if init_mean is None:
         init_mean = INIT_JITTER * rng.standard_normal(n)
+    elif init_mean.shape != (n,):
+        raise ValueError(f"init_mean must be a vector of length {n}, got shape {init_mean.shape}")
     # mean and log_std (starting at zero) are views of one parameter vector.
     params = np.concatenate([init_mean, np.zeros(n)])
     mean, log_std = params[:n], params[n:]

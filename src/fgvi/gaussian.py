@@ -110,13 +110,19 @@ def _correlation_entries(cov: np.ndarray) -> np.ndarray:
     return c
 
 
-def _real_array(x, what: str, copy: bool = False) -> np.ndarray:
-    """x as a float array, a new one if ``copy``; complex input is refused,
-    not cut to its real part."""
+def _real_array(x, what: str, ndim: int, copy: bool = True) -> np.ndarray:
+    """The one intake rule of array arguments: x as a finite float64 array with ``ndim``
+    non-empty axes, a new one if ``copy``; complex input is refused, not cut to its real part."""
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got dtype {x.dtype}")
-    return x.astype(float, copy=copy)
+    x = x.astype(float, copy=copy)
+    if x.ndim != ndim or 0 in x.shape:
+        kind = "a vector of length >= 1" if ndim == 1 else "a matrix with no empty axis"
+        raise ValueError(f"{what} must be {kind}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -138,13 +144,9 @@ class GaussianTarget:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = _real_array(self.mean, "mean", copy=True)
-        cov = _real_array(self.covariance, "covariance")
-        if mean.ndim != 1 or mean.size < 1:
-            raise ValueError(f"mean must be a vector of length >= 1, got shape {mean.shape}")
-        # Before the symmetry check, where inf - inf would make a nan gap.
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean and covariance must be finite")
+        mean = _real_array(self.mean, "mean", 1)
+        # Finite before the symmetry check's inf - inf; not copied, as that check copies.
+        cov = _real_array(self.covariance, "covariance", 2, copy=False)
         cov = _check_square_symmetric(cov, "covariance")
         if cov.shape[0] != mean.size:
             raise ValueError(
@@ -184,15 +186,13 @@ class FactorizedGaussian:
     variances: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        var = np.array(self.variances, dtype=float)
-        if mean.ndim != 1 or var.ndim != 1 or mean.size != var.size or mean.size < 1:
+        mean = _real_array(self.mean, "mean", 1)
+        var = _real_array(self.variances, "variances", 1)
+        if mean.size != var.size:
             raise ValueError(
                 f"mean and variances must be vectors of equal length >= 1, "
                 f"got shapes {mean.shape} and {var.shape}"
             )
-        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-            raise ValueError("mean and variances must be finite")
         if (var <= 0.0).any():
             bad = np.flatnonzero(var <= 0.0)
             raise ValueError(f"variance at index {bad[0]} is not positive: {var[bad[0]]!r}")
@@ -219,10 +219,8 @@ class ShrinkageMatrix:
     diagonal: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.diagonal, dtype=float)
-        if d.ndim != 1 or d.size < 1:
-            raise ValueError(f"diagonal must be a vector of length >= 1, got shape {d.shape}")
-        if not np.isfinite(d).all() or (d <= 0.0).any():
+        d = _real_array(self.diagonal, "diagonal", 1)
+        if (d <= 0.0).any():
             raise ValueError("shrinkage ratios must be finite and positive")
         object.__setattr__(self, "diagonal", d)
 

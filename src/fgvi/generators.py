@@ -36,9 +36,9 @@ class GenerationError(RuntimeError):
     """A generated covariance failed positive-definiteness validation."""
 
 
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+def _check_dimension(value: int, what: str = "n") -> None:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _check_seed(seed: int) -> int:

@@ -92,7 +92,7 @@ _REFUSALS = {
     "profile nan eigenvalue": (
         lambda: EigenProfile(np.array([np.nan, 1.0]), 2.0),
         ValueError,
-        "eigenvalues must be finite and positive",
+        "values must be finite",
     ),
     "profile ratio below 1": (
         lambda: EigenProfile(np.ones(2), 0.5),

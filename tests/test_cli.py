@@ -336,6 +336,21 @@ def test_mixture_divergence_exit_code(tmp_path):
     assert main(["mixture", "--n", "2", "--config", str(config)]) == 4
 
 
+def test_mixture_refuses_an_infinite_learning_rate(tmp_path, capsys):
+    """learning_rate = inf is bad input, not a divergence at step 2;
+    tolerance = inf stays a stop at the first window comparison."""
+    config = tmp_path / "rate.cfg"
+    config.write_text("learning_rate = inf\n")
+    assert main(["mixture", "--n", "2", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: learning_rate must be finite and positive, tolerance non-negative\n"
+    config.write_text("tolerance = inf\nwindow = 5\n")
+    code, out = run_cli("mixture", "--n", "2", "--config", str(config), capsys=capsys)
+    assert code == 0
+    assert find_value(parse_csv(out)[1], section="summary", name="step_count") == 10
+
+
 def test_mixture_rejects_bad_weights():
     assert main(["mixture", "--n", "2", "--weights", "0.7,0.7"]) == 2
     assert main(["mixture", "--n", "2", "--sigma", "0"]) == 2
@@ -896,7 +911,7 @@ def test_input_error_messages(tmp_path, capsys):
          f"error: {two_tokens}: first line must hold the dimension n alone\n"),
         (["analyze", "--matrix-file", str(empty)],
          f"error: {empty}: dimension must be >= 1, got 0\n"),
-        (["mixture", "--n", "0"], "error: n must be >= 1, got 0\n"),
+        (["mixture", "--n", "0"], "error: n must be a positive integer, got 0\n"),
     ]
     for argv, message in cases:
         assert main(argv) == 2

@@ -96,17 +96,17 @@ _REFUSALS = {
     "weights matrix": (
         lambda: MixtureTarget(np.full((2, 1), 0.5), np.zeros((2, 2)), 1.0),
         ValueError,
-        "weights must be a vector, got shape (2, 1)",
+        "weights must be a vector of length >= 1, got shape (2, 1)",
     ),
     "weights nan": (
         lambda: MixtureTarget(np.array([np.nan, 0.5]), np.zeros((2, 2)), 1.0),
         ValueError,
-        "weights and means must be finite",
+        "weights must be finite",
     ),
     "means infinite": (
         lambda: MixtureTarget(np.array([0.5, 0.5]), np.array([[np.inf], [0.0]]), 1.0),
         ValueError,
-        "weights and means must be finite",
+        "means must be finite",
     ),
     "n = 0 in KernelConfig": (
         lambda: KernelConfig(n=0, rho=1.0, seed=0),
@@ -122,6 +122,26 @@ _REFUSALS = {
         lambda: random_correlation_matrix(0, 0),
         ValueError,
         "n must be a positive integer, got 0",
+    ),
+    "means with no coordinates": (
+        lambda: MixtureTarget(np.full(2, 0.5), np.zeros((2, 0)), 1.0),
+        ValueError,
+        "means must be a matrix with no empty axis, got shape (2, 0)",
+    ),
+    "mc_samples = 1.5": (
+        lambda: OptimizerConfig(mc_samples=1.5),
+        ValueError,
+        "mc_samples must be a positive integer, got 1.5",
+    ),
+    "window = 2.5": (
+        lambda: OptimizerConfig(window=2.5),
+        ValueError,
+        "window must be a positive integer, got 2.5",
+    ),
+    "max_steps = 10.5": (
+        lambda: OptimizerConfig(max_steps=10.5),
+        ValueError,
+        "max_steps must be a positive integer, got 10.5",
     ),
     "n = 0 in fit_fgvi": (
         lambda: fit_fgvi(_standard_normal_density, 0),
