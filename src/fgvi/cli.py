@@ -44,13 +44,19 @@ from .engine import (
     mixture_log_density_fn,
     shrinkage_comparison,
 )
-from .gaussian import GaussianTarget, _real_array, decompose, fgvi_solve, shrinkage_matrix
+from .gaussian import (
+    GaussianTarget,
+    _check_dimension,
+    _check_seed,
+    _real_array,
+    decompose,
+    fgvi_solve,
+    shrinkage_matrix,
+)
 from .generators import (
     ConstantOffDiagConfig,
     GenerationError,
     KernelConfig,
-    _check_dimension,
-    _check_seed,
     constant_offdiag_target,
     squared_exponential_target,
 )

@@ -28,11 +28,12 @@ from .gaussian import (
     FactorizedGaussian,
     GaussianTarget,
     ShrinkageMatrix,
+    _check_dimension,
+    _check_seed,
     _real_array,
     fgvi_solve,
     shrinkage_matrix,
 )
-from .generators import _check_dimension, _check_seed
 
 __all__ = [
     "MixtureTarget",
@@ -165,9 +166,9 @@ def mixture_log_density_fn(target: MixtureTarget) -> LogDensityFn:
 def gaussian_log_density_fn(target: GaussianTarget) -> LogDensityFn:
     """Batched (values, gradients) callable for a dense Gaussian target.
 
-    Takes the target's whitening matrix W, with W Sigma W^T = I, once; a
-    call is then half = (z - mean) W^T, log p from the squared norm of half,
-    and the gradient -Sigma^-1 (z - mean) = -half W.
+    Builds the target's whitening matrix W, with W Sigma W^T = I, once and
+    keeps it; a call is then half = (z - mean) W^T, log p from the squared
+    norm of half, and the gradient -Sigma^-1 (z - mean) = -half W.
     """
     whiten, n = target.whitening(), target.n
     norm = _constant(-0.5 * (n * _LOG_TWO_PI + target.log_det_covariance))
@@ -245,7 +246,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class VariationalState:
-    """Snapshot of a factorized Gaussian fit.
+    """Snapshot of a factorized Gaussian fit, with own copies of ``mean`` and
+    ``log_std``: real vectors of equal length.  They may hold inf or nan: a
+    step that overflows a parameter leaves it so in the state that the
+    next step's DivergenceError carries.
 
     ``elbo_trace`` holds (step, estimate) pairs with steps strictly
     increasing, one entry per optimization step taken.  ``stop_reason``
@@ -259,6 +263,17 @@ class VariationalState:
     step_count: int
     elbo_trace: tuple[tuple[int, float], ...]
     stop_reason: str | None = None
+
+    def __post_init__(self):
+        mean = _real_array(self.mean, "mean", 1, finite=False)
+        log_std = _real_array(self.log_std, "log_std", 1, finite=False)
+        if mean.size != log_std.size:
+            raise ValueError(
+                f"mean and log_std must be vectors of equal length >= 1, "
+                f"got shapes {mean.shape} and {log_std.shape}"
+            )
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "log_std", log_std)
 
     @property
     def n(self) -> int:
@@ -439,7 +454,7 @@ def fit_fgvi(log_density: LogDensityFn, n: int, config: OptimizerConfig | None =
             # gradient, through u / sigma, infinite.
             if not (math.isfinite(elbo) and math.isfinite(_add(gradient))):
                 trace = tuple(zip(range(1, step), elbo_values))
-                state = VariationalState(mean.copy(), log_std.copy(), step, trace, "diverged")
+                state = VariationalState(mean, log_std, step, trace, "diverged")
                 raise DivergenceError(
                     f"ELBO or its gradient became non-finite at step {step}", step, state
                 )

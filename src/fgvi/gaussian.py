@@ -58,6 +58,8 @@ LOG_TWO_PI_E = math.log(2.0 * math.pi) + 1.0
 # quantities.  The total log|Sigma| is never exponentiated, so it may be lower.
 MIN_LOG_DET = -700.0
 
+_SEED_MAX = 2**64
+
 SYMMETRY_RTOL = 1e-12
 # Side of the square tiles the symmetry check compares with their mirrors.
 _SYMMETRY_TILE = 256
@@ -110,9 +112,21 @@ def _correlation_entries(cov: np.ndarray) -> np.ndarray:
     return c
 
 
-def _real_array(x, what: str, ndim: int, copy: bool = True) -> np.ndarray:
-    """The one intake rule of array arguments: x as a finite float64 array with ``ndim``
-    non-empty axes, a new one if ``copy``; complex input is refused, not cut to its real part."""
+def _check_dimension(value: int, what: str = "n") -> None:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
+def _check_seed(seed: int) -> int:
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < _SEED_MAX:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return int(seed)
+
+
+def _real_array(x, what: str, ndim: int, copy: bool = True, finite: bool = True) -> np.ndarray:
+    """The one intake rule of array arguments: x as a float64 array with ``ndim`` non-empty
+    axes, a new one if ``copy``, and finite if ``finite``; complex input is refused, not cut
+    to its real part."""
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got dtype {x.dtype}")
@@ -120,7 +134,7 @@ def _real_array(x, what: str, ndim: int, copy: bool = True) -> np.ndarray:
     if x.ndim != ndim or 0 in x.shape:
         kind = "a vector of length >= 1" if ndim == 1 else "a matrix with no empty axis"
         raise ValueError(f"{what} must be {kind}, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if finite and not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
     return x
 
@@ -136,8 +150,9 @@ class GaussianTarget:
     other input is stored as 0.5 * (Sigma + Sigma^T).  Only its correlation
     matrix C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is
     blind to how each coordinate is scaled.  log|C| is read off the factor L_C, which
-    is then inverted in its own memory: the target keeps L_C^-1, S_ii =
-    (C^-1)_ii and log|C|, and log|Sigma| and Sigma's whitening follow.
+    is then inverted in its own memory to read S_ii = (C^-1)_ii.  The target
+    keeps S and log|C|, not L_C^-1: its one n x n array is the covariance,
+    and log|Sigma| follows.  Sigma's whitening is built by whitening().
     """
 
     mean: np.ndarray
@@ -162,7 +177,6 @@ class GaussianTarget:
         inverse_c = lower_inverse(chol_c, overwrite=True)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_inverse_c", inverse_c)
         object.__setattr__(self, "_shrinkage", np.einsum("ij,ij->j", inverse_c, inverse_c))
 
     @property
@@ -174,8 +188,15 @@ class GaussianTarget:
         return self._log_det_c + float(np.log(self.covariance.diagonal()).sum())
 
     def whitening(self) -> np.ndarray:
-        """W = L_C^-1 D^-1/2, the inverse of Sigma's factor D^1/2 L_C."""
-        return self._inverse_c / np.sqrt(self.covariance.diagonal())
+        """W = L_C^-1 D^-1/2, the inverse of Sigma's factor D^1/2 L_C.
+
+        Each call factors C and inverts L_C again, one dpotrf and one dtrtri,
+        the same bits as at construction; a caller that needs W more than
+        once keeps it, as gaussian_log_density_fn does.
+        """
+        cov = self.covariance
+        inverse_c = lower_inverse(spd_cholesky(_correlation_entries(cov)), overwrite=True)
+        return inverse_c / np.sqrt(cov.diagonal())
 
 
 @dataclass(frozen=True)
@@ -300,7 +321,8 @@ def fgvi_solve(target: GaussianTarget) -> FactorizedGaussian:
 
     The mean is copied from the target; variance i equals
     ``1 / (Sigma^-1)_ii = Sigma_ii / (C^-1)_ii``, read from the target's
-    cached inverse-correlation diagonal (no inverse is ever materialized).
+    inverse-correlation diagonal S, which the target formed once from L_C^-1;
+    this call inverts nothing.
     Each variance is no larger than the matching marginal variance
     Sigma_ii, strictly smaller as soon as coordinate i carries any
     correlation.
@@ -338,8 +360,7 @@ def gaussian_entropy(covariance_log_det: float, n: int) -> float:
     Computed as ``(covariance_log_det + n * log(2*pi*e)) / 2`` so callers
     pass log-determinants, never raw determinants.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dimension(n)
     if not math.isfinite(covariance_log_det):
         raise ValueError(f"log-determinant must be finite, got {covariance_log_det!r}")
     if covariance_log_det / n < MIN_LOG_DET:

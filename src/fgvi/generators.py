@@ -17,7 +17,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gaussian import CorrelationMatrix, GaussianTarget, _correlation_entries
+from .gaussian import (
+    CorrelationMatrix,
+    GaussianTarget,
+    _check_dimension,
+    _check_seed,
+    _correlation_entries,
+)
 from .linalg import ConditioningError
 
 __all__ = [
@@ -29,22 +35,9 @@ __all__ = [
     "random_correlation_matrix",
 ]
 
-_SEED_MAX = 2**64
-
 
 class GenerationError(RuntimeError):
     """A generated covariance failed positive-definiteness validation."""
-
-
-def _check_dimension(value: int, what: str = "n") -> None:
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
-
-
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < _SEED_MAX:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return int(seed)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -945,6 +945,44 @@ def test_divergence_error_carries_state():
     assert len(error.state.elbo_trace) == error.step - 1
 
 
+@pytest.mark.parametrize("n, seed, finite", [(5, 0, True), (5, 2, False), (2, 0, False)])
+def test_divergence_at_the_largest_learning_rate(n, seed, finite):
+    """At learning_rate = 1.7e308 the first step throws every parameter out
+    to about the double range, and the second step diverges.  Where that
+    first step overflowed a parameter to inf, the state carries the inf:
+    still a DivergenceError, not a refusal of the state."""
+    if n == 5:
+        density = gaussian_log_density_fn(constant_offdiag_target(ConstantOffDiagConfig(n, 0.5)))
+    else:
+        density = mixture_log_density_fn(_default_mixture())
+    config = OptimizerConfig(seed=seed, learning_rate=1.7e308)
+    with pytest.raises(DivergenceError) as info:
+        fit_fgvi(density, n, config)
+    state = info.value.state
+    assert info.value.step == state.step_count == 2
+    assert len(state.elbo_trace) == 1 and state.stop_reason == "diverged"
+    params = np.concatenate([state.mean, state.log_std])
+    assert np.isfinite(params).all() == finite
+    assert (np.abs(params[np.isfinite(params)]) > 1e307).all()
+
+
+def test_state_keeps_own_real_copies():
+    mean, log_std = np.zeros(2), np.zeros(2)
+    state = VariationalState(mean=mean, log_std=log_std, step_count=0, elbo_trace=())
+    mean[0] = log_std[0] = 99.0
+    assert state.mean.tolist() == state.log_std.tolist() == [0.0, 0.0]
+    state = VariationalState(mean=[1, 2], log_std=(0, 0), step_count=0, elbo_trace=())
+    assert state.mean.dtype == state.log_std.dtype == np.float64
+    with pytest.raises(ValueError, match="^log_std must be real, got dtype complex128$"):
+        VariationalState(mean=np.zeros(2), log_std=np.zeros(2) + 0j, step_count=0, elbo_trace=())
+    with pytest.raises(ValueError, match="^mean must be real"):
+        VariationalState(mean=np.zeros(2) + 0j, log_std=np.zeros(2), step_count=0, elbo_trace=())
+    with pytest.raises(ValueError, match="^mean and log_std must be vectors of equal length"):
+        VariationalState(mean=np.zeros(2), log_std=np.zeros(3), step_count=0, elbo_trace=())
+    with pytest.raises(ValueError, match="^log_std must be a vector"):
+        VariationalState(mean=np.zeros(2), log_std=np.zeros((2, 1)), step_count=0, elbo_trace=())
+
+
 def test_state_variances_property():
     state = VariationalState(
         mean=np.zeros(2),

@@ -442,6 +442,12 @@ def test_entropy_guard_on_collapsed_determinant():
         gaussian_entropy(0.0, 0)
 
 
+@pytest.mark.parametrize("n", [0, 1.5, -2, 2.0])
+def test_entropy_refuses_a_dimension_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n!r}$"):
+        gaussian_entropy(0.0, n)
+
+
 # ------------------------------------------------------------- decompose
 
 
@@ -552,8 +558,9 @@ def test_decomposition_invariants_property(n, seed):
 
 
 def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
-    """A target makes one LAPACK factorization and one triangular inverse;
-    nothing built from it afterwards calls LAPACK again."""
+    """A target makes one LAPACK factorization and one triangular inverse.
+    Of what is built from it, only the whitening, which the target does not
+    keep, makes one more pair: once per density closure, never per call."""
     calls = []
 
     def counting(name):
@@ -568,14 +575,20 @@ def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     for name in ("dpotrf", "dtrtri"):
         monkeypatch.setattr(linalg.lapack, name, counting(name))
 
+    pair = [("dpotrf", (9, 9)), ("dtrtri", (9, 9))]
     target = random_spd_target(9, np.random.default_rng(3))
+    assert calls == pair
     decompose(target)
     fgvi_solve(target)
     correlation_from_covariance(target)
-    gaussian_log_density_fn(target)(np.zeros((4, 9)))
     state = VariationalState(np.zeros(9), np.zeros(9), 1, ((1, 0.0),))
     max_entropy_gap_bound(target, state)
-    assert calls == [("dpotrf", (9, 9)), ("dtrtri", (9, 9))]
+    assert calls == pair
+    density = gaussian_log_density_fn(target)
+    assert calls == pair + pair
+    density(np.zeros((4, 9)))
+    density(np.ones((2, 9)))
+    assert calls == pair + pair
 
     # A Wishart draw is not factored until a target is built from it.
     calls.clear()
@@ -589,6 +602,18 @@ def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     assert main(["mixture", "--n", "3", "--config", str(config)]) == 0
     capsys.readouterr()
     assert calls == [("dpotrf", (3, 3)), ("dtrtri", (3, 3))]
+
+
+def test_target_keeps_one_square_array():
+    """A built target's arrays are the covariance, the mean and S, 8 (n^2 + 2n)
+    bytes: the whitening is rebuilt on each call, to the same bits."""
+    for n in (1, 9, 40):
+        target = random_spd_target(n, np.random.default_rng(n))
+        arrays = [v for v in vars(target).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 8 * (n * n + 2 * n)
+        first, second = target.whitening(), target.whitening()
+        assert first is not second
+        assert first.tobytes() == second.tobytes()
 
 
 def _invariant_fields(target):
