@@ -22,6 +22,8 @@ All entropies and divergences are in nats.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,18 +68,19 @@ _SYMMETRY_TILE = 256
 
 
 def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
-    """A new array equal to 0.5 * (a + a.T), once each |a_ij - a_ji| is within
-    SYMMETRY_RTOL * max(1, |a_ij|); a nan gap passes.  a is copied, then each
-    tile on and above the diagonal is compared with its mirror's transpose,
-    so a large matrix is read in order.  A pair that is equal bit for bit,
-    as all of exactly symmetric input is, stays as copied: there the average
-    is a itself.  Only the other pairs, where +0.0 and -0.0 differ too, are
-    checked and averaged, and a sum a_ij + a_ji past the double range is
-    taken as 0.5 * a_ij + 0.5 * a_ji."""
+    """0.5 * (a + a.T), once each |a_ij - a_ji| is within SYMMETRY_RTOL *
+    max(1, |a_ij|); a nan gap passes.  Each tile on and above the diagonal is
+    compared with its mirror's transpose, so a large matrix is read in order.
+    A pair that is equal bit for bit, as all of exactly symmetric input is,
+    needs no average: there the average is a itself, and a itself is
+    returned, not a copy.  The first pair that differs, where +0.0 and -0.0
+    do too, has a copied; only such pairs are checked and averaged in the
+    copy, and a sum a_ij + a_ji past the double range is taken as
+    0.5 * a_ij + 0.5 * a_ji."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
     n, size = a.shape[0], _SYMMETRY_TILE
-    out = a.copy()
+    out = a
     for i in range(0, n, size):
         for j in range(i, n, size):
             upper, mirror = a[i : i + size, j : j + size], a[j : j + size, i : i + size].T
@@ -98,6 +101,8 @@ def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
             overflowed = np.isinf(mean)
             if overflowed.any():
                 mean[overflowed] = 0.5 * upper[overflowed] + 0.5 * mirror[overflowed]
+            if out is a:
+                out = a.copy()
             out[i : i + size, j : j + size] = mean
             if i != j:
                 out[j : j + size, i : i + size] = mean.T
@@ -110,6 +115,75 @@ def _correlation_entries(cov: np.ndarray) -> np.ndarray:
     c = cov / (scale[:, None] * scale)  # the products of np.outer, bit for bit
     c.flat[:: c.shape[0] + 1] = 1.0
     return c
+
+
+def _one_blas_thread(environ) -> bool:
+    """Whether each BLAS call runs on one thread: OpenBLAS, which numpy's and
+    scipy's wheels link, reads OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; an
+    MKL build reads MKL_NUM_THREADS."""
+    openblas = environ.get("OPENBLAS_NUM_THREADS") or environ.get("OMP_NUM_THREADS")
+    return openblas == "1" and environ.get("MKL_NUM_THREADS", "1") == "1"
+
+
+# Read once, as BLAS reads its thread count once, when it loads.
+_ONE_BLAS_THREAD = _one_blas_thread(os.environ)
+
+# From this n up, with one BLAS thread, a target factors C on a worker thread
+# while the calling thread finds C's extreme eigenvalues.  dpotrf and dtrtri
+# release the GIL at every n; numpy's eigvalsh keeps it up to n = 500, so
+# below 501 the worker only waits.  Build plus decompose of an
+# equicorrelated target, ms, 2-core x86-64, numpy 2.4, one OpenBLAS thread:
+#   n                    256   384   500   502   512  1000  2000
+#   one after the other  4.8  12.2  19.5  20.4  23.4   127   909
+#   side by side         6.0  13.9  20.5  14.1  15.9    97   747
+# With threaded BLAS the cores are already busy: at n = 2000 side by side
+# took 899 ms against 709 ms one after the other.  numpy's and scipy's wheels
+# each bundle their own OpenBLAS, so the two calls share no BLAS state.
+_OVERLAP_MIN_N = 501
+
+
+def _factor_and_spectrum(cov: np.ndarray) -> tuple[float, np.ndarray, float, float]:
+    """(log|C|, S, smallest and largest eigenvalue of C) for the correlation
+    matrix C of cov.  C is factored, and its factor inverted, in the memory of
+    one Fortran-ordered copy, whose column sums of squares are S_ii =
+    (C^-1)_ii; eigvalsh reads C itself.  From _OVERLAP_MIN_N up, with one
+    BLAS thread, the factor runs on a worker thread beside eigvalsh.  The
+    worker allocates no n x n array: glibc would keep its memory in the
+    worker's own arena and raise peak RSS.  It is joined before this returns
+    or raises, and its ConditioningError is raised here ahead of any error of
+    eigvalsh, as when the two run in turn."""
+    corr = _correlation_entries(cov)
+    work = corr.copy().T  # C^T is C bit for bit
+    if cov.shape[0] < _OVERLAP_MIN_N or not _ONE_BLAS_THREAD:
+        factored = [_factor_correlation(work)]
+        eigvals = np.linalg.eigvalsh(corr)
+    else:
+        factored = []
+
+        def factor():
+            try:
+                factored.append(_factor_correlation(work))
+            except BaseException as exc:  # raised again on the calling thread
+                factored.append(exc)
+
+        worker = threading.Thread(target=factor, name="fgvi-factor")
+        worker.start()
+        try:
+            eigvals = np.linalg.eigvalsh(corr)
+        finally:
+            worker.join()
+            if isinstance(factored[0], BaseException):
+                raise factored[0]
+    log_det, shrinkage = factored[0]
+    return log_det, shrinkage, float(eigvals[0]), float(eigvals[-1])
+
+
+def _factor_correlation(work: np.ndarray) -> tuple[float, np.ndarray]:
+    """(log|C|, S) from a Fortran-ordered C, factored and inverted in place."""
+    lower = spd_cholesky(work, overwrite=True)
+    log_det = log_det_from_cholesky(lower)
+    inverse = lower_inverse(lower, overwrite=True)
+    return log_det, np.einsum("ij,ij->j", inverse, inverse)
 
 
 def _check_dimension(value: int, what: str = "n") -> None:
@@ -146,13 +220,18 @@ class GaussianTarget:
     Both must be real and finite: complex input is refused, not cut to its
     real part.  The covariance is validated symmetric (relative tolerance
     1e-12) and positive definite at construction.  The target keeps its own
-    copy of both: exactly symmetric input is tested bit for bit and copied,
-    other input is stored as 0.5 * (Sigma + Sigma^T).  Only its correlation
-    matrix C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is
-    blind to how each coordinate is scaled.  log|C| is read off the factor L_C, which
-    is then inverted in its own memory to read S_ii = (C^-1)_ii.  The target
-    keeps S and log|C|, not L_C^-1: its one n x n array is the covariance,
-    and log|Sigma| follows.  Sigma's whitening is built by whitening().
+    copy of both: exactly symmetric input is tested bit for bit and copied
+    last, once the work below has freed its arrays; other input is stored as
+    0.5 * (Sigma + Sigma^T).  Only its correlation matrix
+    C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is blind to
+    how each coordinate is scaled.  log|C| is read off the factor L_C, which
+    is then inverted in its own memory to read S_ii = (C^-1)_ii.  C's
+    smallest and largest eigenvalues, for κ(C), come from one eigvalsh at
+    construction too; for n >= 501 with one BLAS thread it runs on the
+    calling thread while a worker thread factors C.  The target keeps S,
+    log|C| and the two eigenvalues, not L_C^-1: its one n x n array is the
+    covariance, and log|Sigma| follows.  Sigma's whitening is built by
+    whitening().
     """
 
     mean: np.ndarray
@@ -160,9 +239,10 @@ class GaussianTarget:
 
     def __post_init__(self):
         mean = _real_array(self.mean, "mean", 1)
-        # Finite before the symmetry check's inf - inf; not copied, as that check copies.
-        cov = _real_array(self.covariance, "covariance", 2, copy=False)
-        cov = _check_square_symmetric(cov, "covariance")
+        # Finite before the symmetry check's inf - inf.  Neither copies exactly
+        # symmetric float64 input, so no copy is alive while C is worked on.
+        given = _real_array(self.covariance, "covariance", 2, copy=False)
+        cov = _check_square_symmetric(given, "covariance")
         if cov.shape[0] != mean.size:
             raise ValueError(
                 f"dimension mismatch: mean has length {mean.size}, "
@@ -172,12 +252,13 @@ class GaussianTarget:
         if (diag <= 0.0).any():
             j = int(np.argmax(diag <= 0.0))
             raise ConditioningError(j, float(diag[j]), 0.0)
-        chol_c = spd_cholesky(_correlation_entries(cov))
-        object.__setattr__(self, "_log_det_c", log_det_from_cholesky(chol_c))
-        inverse_c = lower_inverse(chol_c, overwrite=True)
+        log_det_c, shrinkage, smallest, largest = _factor_and_spectrum(cov)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_shrinkage", np.einsum("ij,ij->j", inverse_c, inverse_c))
+        object.__setattr__(self, "covariance", cov.copy() if cov is given else cov)
+        object.__setattr__(self, "_log_det_c", log_det_c)
+        object.__setattr__(self, "_shrinkage", shrinkage)
+        object.__setattr__(self, "_eigenvalue_min", smallest)
+        object.__setattr__(self, "_eigenvalue_max", largest)
 
     @property
     def n(self) -> int:
@@ -384,8 +465,9 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     rounding, so the KL restates the gap; their agreement catches only
     cancellation in H(p) - H(q), whose entropies each carry
     sum(log Sigma_ii) and n log(2 pi e) / 2, terms the KL never forms.
-    The condition number is the extreme-eigenvalue ratio of C;
-    IndefiniteError if the smallest eigenvalue is not positive.
+    The condition number is the ratio of C's extreme eigenvalues, which
+    the target found when it was built: this call factors nothing and finds
+    no eigenvalue.  IndefiniteError if the smallest is not positive.
     """
     n = target.n
     sigma_diag = target.covariance.diagonal()
@@ -412,10 +494,10 @@ def decompose(target: GaussianTarget) -> DecompositionReport:
     trace_term = float(variances @ inv_diag)
     kl = 0.5 * (trace_term - (log_det_psi - log_det_sigma) - n)
 
-    eigvals = np.linalg.eigvalsh(_correlation_entries(target.covariance))
-    if not eigvals[0] > 0.0:
-        raise IndefiniteError(float(eigvals[0]))
-    condition = float(eigvals[-1] / eigvals[0])
+    smallest = target._eigenvalue_min
+    if not smallest > 0.0:
+        raise IndefiniteError(smallest)
+    condition = target._eigenvalue_max / smallest
 
     return DecompositionReport(
         log_det_S=log_det_s,

@@ -62,7 +62,7 @@ class ConditioningError(ArithmeticError):
         self.column, self.pivot, self.threshold = column, pivot, threshold
 
 
-def spd_cholesky(matrix: np.ndarray) -> np.ndarray:
+def spd_cholesky(matrix: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
     A pivot at or below ``PIVOT_RTOL`` times its own diagonal entry
@@ -75,12 +75,14 @@ def spd_cholesky(matrix: np.ndarray) -> np.ndarray:
     Args:
         matrix: symmetric positive-definite array, shape (n, n).  Only the
             lower triangle is referenced.
+        overwrite: factor in ``matrix``'s own memory where it is
+            Fortran-ordered; otherwise ``matrix`` is left as it is.
 
     Returns:
         Lower-triangular factor ``L`` with ``L @ L.T == matrix``.
     """
     thresholds = PIVOT_RTOL * matrix.diagonal()
-    lower, info = lapack.dpotrf(matrix, lower=1, clean=1)
+    lower, info = lapack.dpotrf(matrix, lower=1, clean=1, overwrite_a=overwrite)
     pivots = lower.diagonal() ** 2
     if info:
         pivots[info - 1] = lower[info - 1, info - 1]

@@ -1,6 +1,7 @@
 """Closed-form factorized approximations and the entropy-gap decomposition."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -103,14 +104,21 @@ def test_blocked_symmetry_check_matches_whole_matrix_pass():
 
 @pytest.mark.parametrize("n", [255, 256, 257, 513])
 def test_exact_symmetry_test_reads_every_tile(n):
-    """Exactly symmetric input comes back as an equal copy.  One entry a
-    ulp off its mirror, on either side of any tile edge, is found: the
-    result is then 0.5 * (a + a.T) bit for bit, and symmetric."""
+    """Exactly symmetric input comes back as itself, not a copy, and a
+    target built from it keeps an equal copy of its own.  One entry a ulp
+    off its mirror, on either side of any tile edge, is found: the result
+    is then a new array, 0.5 * (a + a.T) bit for bit, and symmetric."""
     base = np.random.default_rng(n).standard_normal((n, n))
-    a = base + base.T
-    got = gaussian._check_square_symmetric(a, "covariance")
-    assert not np.shares_memory(got, a)
-    assert np.array_equal(got.view(np.int64), a.view(np.int64))
+    a = base + base.T + 2.0 * n * np.eye(n)  # diagonally dominant: a covariance
+    assert gaussian._check_square_symmetric(a, "covariance") is a
+    kept = GaussianTarget(np.zeros(n), a).covariance
+    assert not np.shares_memory(kept, a)
+    assert np.array_equal(kept.view(np.int64), a.view(np.int64))
+    nudged = a.copy()
+    nudged[n - 1, 0] = np.nextafter(nudged[n - 1, 0], np.inf)
+    kept = GaussianTarget(np.zeros(n), nudged).covariance
+    assert not np.shares_memory(kept, nudged)
+    assert np.array_equal(kept.view(np.int64), (0.5 * (nudged + nudged.T)).view(np.int64))
     tile = gaussian._SYMMETRY_TILE
     edges = [k for k in (0, tile - 1, tile, 2 * tile - 1, 2 * tile, n - 1) if k < n]
     for i in edges:
@@ -120,6 +128,7 @@ def test_exact_symmetry_test_reads_every_tile(n):
             b = a.copy()
             b[i, j] = np.nextafter(b[i, j], np.inf)
             got = gaussian._check_square_symmetric(b, "covariance")
+            assert not np.shares_memory(got, b)
             assert np.array_equal(got.view(np.int64), (0.5 * (b + b.T)).view(np.int64))
             assert np.array_equal(got.view(np.int64), got.T.view(np.int64))
 
@@ -558,42 +567,47 @@ def test_decomposition_invariants_property(n, seed):
 
 
 def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
-    """A target makes one LAPACK factorization and one triangular inverse.
-    Of what is built from it, only the whitening, which the target does not
-    keep, makes one more pair: once per density closure, never per call."""
+    """A target makes one LAPACK factorization, one triangular inverse and
+    one eigvalsh, for κ.  Of what is built from it, only the whitening, which
+    the target does not keep, makes one more pair: once per density closure,
+    never per call.  Nothing else finds an eigenvalue."""
     calls = []
 
-    def counting(name):
-        routine = getattr(linalg.lapack, name)
+    def counting(owner, name):
+        routine = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls.append((name, args[0].shape))
             return routine(*args, **kwargs)
 
-        return counted
+        monkeypatch.setattr(owner, name, counted)
 
     for name in ("dpotrf", "dtrtri"):
-        monkeypatch.setattr(linalg.lapack, name, counting(name))
+        counting(linalg.lapack, name)
+    counting(np.linalg, "eigvalsh")
+
+    def built(n):
+        return [("dpotrf", (n, n)), ("dtrtri", (n, n)), ("eigvalsh", (n, n))]
 
     pair = [("dpotrf", (9, 9)), ("dtrtri", (9, 9))]
     target = random_spd_target(9, np.random.default_rng(3))
-    assert calls == pair
+    assert calls == built(9)
     decompose(target)
     fgvi_solve(target)
     correlation_from_covariance(target)
     state = VariationalState(np.zeros(9), np.zeros(9), 1, ((1, 0.0),))
     max_entropy_gap_bound(target, state)
-    assert calls == pair
+    assert calls == built(9)
     density = gaussian_log_density_fn(target)
-    assert calls == pair + pair
+    assert calls == built(9) + pair
     density(np.zeros((4, 9)))
     density(np.ones((2, 9)))
-    assert calls == pair + pair
+    assert calls == built(9) + pair
 
     # A Wishart draw is not factored until a target is built from it.
     calls.clear()
     GaussianTarget(mean=np.zeros(6), covariance=random_correlation_matrix(6, 4).entries)
-    assert calls == [("dpotrf", (6, 6)), ("dtrtri", (6, 6))]
+    assert calls == built(6)
 
     # A mixture job builds its moment-matched target once.
     calls.clear()
@@ -601,7 +615,7 @@ def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     config.write_text("max_steps = 50\n")
     assert main(["mixture", "--n", "3", "--config", str(config)]) == 0
     capsys.readouterr()
-    assert calls == [("dpotrf", (3, 3)), ("dtrtri", (3, 3))]
+    assert calls == built(3)
 
 
 def test_target_keeps_one_square_array():
@@ -614,6 +628,137 @@ def test_target_keeps_one_square_array():
         first, second = target.whitening(), target.whitening()
         assert first is not second
         assert first.tobytes() == second.tobytes()
+
+
+# ------------------------------------------------------ factor beside κ
+
+CROSSOVER = gaussian._OVERLAP_MIN_N
+
+
+def _schedule(monkeypatch, overlap):
+    """Force the factor beside eigvalsh at every n, or one after the other;
+    the threads the factor ran on are listed (True: the calling thread)."""
+    monkeypatch.setattr(gaussian, "_ONE_BLAS_THREAD", overlap)
+    monkeypatch.setattr(gaussian, "_OVERLAP_MIN_N", 1)
+    ran_on, factor = [], gaussian._factor_correlation
+
+    def spied(work):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        return factor(work)
+
+    monkeypatch.setattr(gaussian, "_factor_correlation", spied)
+    return ran_on
+
+
+def _schedule_covariance(family, n):
+    """Equicorrelated, squared-exponential, Wishart and rescaled Wishart
+    covariances, each exactly symmetric and positive definite."""
+    rng = np.random.default_rng(n)
+    if family == "eq":
+        cov = np.full((n, n), 0.3)
+        np.fill_diagonal(cov, 1.0)
+        return cov
+    if family == "se":
+        x = rng.uniform(0.0, KernelConfig.domain_upper, n)
+        return np.exp(-((x[:, None] - x[None, :]) / 0.5) ** 2) + 1e-8 * np.eye(n)
+    cov = random_correlation_matrix(n, n).entries
+    if family == "rescaled":
+        scale = np.exp(rng.normal(0.0, 1.0, n))
+        cov = cov * np.outer(scale, scale)
+    return cov
+
+
+@pytest.mark.parametrize("family", ["eq", "se", "wishart", "rescaled"])
+@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER, 2 * CROSSOVER])
+def test_factor_beside_eigvalsh_gives_the_same_bits(monkeypatch, family, n):
+    """At the crossover, one below it and twice it, a target and its report
+    are the same bit for bit whether C is factored on a worker thread beside
+    eigvalsh or before it; the worker factors and inverts C in the memory of
+    the one copy made for it, and it is gone once the target is built."""
+    cov, threads = _schedule_covariance(family, n), threading.enumerate()
+    shared = []
+    for name in ("dpotrf", "dtrtri"):
+        routine = getattr(linalg.lapack, name)
+
+        def in_place(a, *args, routine=routine, **kwargs):
+            out = routine(a, *args, **kwargs)
+            shared.append(np.shares_memory(out[0], a))
+            return out
+
+        monkeypatch.setattr(linalg.lapack, name, in_place)
+    built = {}
+    for overlap in (False, True):
+        ran_on = _schedule(monkeypatch, overlap)
+        target = GaussianTarget(np.zeros(n), cov)
+        assert ran_on == [not overlap]
+        assert threading.enumerate() == threads
+        built[overlap] = target, decompose(target)
+    assert shared == [True, True] * 2
+    (plain, plain_report), (beside, beside_report) = built[False], built[True]
+    assert np.array_equal(plain._shrinkage.view(np.int64), beside._shrinkage.view(np.int64))
+    assert np.array_equal(plain.covariance.view(np.int64), beside.covariance.view(np.int64))
+    for name in ("_log_det_c", "_eigenvalue_min", "_eigenvalue_max"):
+        assert getattr(plain, name) == getattr(beside, name), name
+    assert vars(plain_report) == vars(beside_report)
+
+
+def test_worker_errors_reach_the_caller_and_leave_no_thread(monkeypatch):
+    """A ConditioningError raised on the worker reaches the caller with the
+    same column, pivot and threshold as one raised in turn, and it comes
+    first there as it does in turn; an eigvalsh error reaches the caller
+    too.  No thread is left alive after any of them."""
+    n, threads = CROSSOVER, threading.enumerate()
+    a = np.random.default_rng(7).standard_normal((n, n - 3))
+    singular = a @ a.T
+    singular = singular + singular.T  # exactly symmetric, rank n - 3
+    raised = []
+    for overlap in (False, True):
+        _schedule(monkeypatch, overlap)
+        with pytest.raises(ConditioningError) as info:
+            GaussianTarget(np.zeros(n), singular)
+        assert threading.enumerate() == threads
+        raised.append((info.value.column, info.value.pivot, info.value.threshold, str(info.value)))
+    assert raised[0] == raised[1]
+
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    for overlap in (False, True):
+        _schedule(monkeypatch, overlap)
+        with pytest.raises(ConditioningError):
+            GaussianTarget(np.zeros(n), singular)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
+        assert threading.enumerate() == threads
+
+
+def test_no_thread_below_the_crossover_or_with_threaded_blas(monkeypatch):
+    """Below the crossover, and at any n unless BLAS runs one thread, the
+    target starts no thread; one BLAS thread is read from the variables
+    OpenBLAS and MKL read."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refused)
+    n = CROSSOVER
+    monkeypatch.setattr(gaussian, "_ONE_BLAS_THREAD", True)
+    GaussianTarget(np.zeros(n - 1), _schedule_covariance("eq", n - 1))
+    with pytest.raises(AssertionError, match="thread was started"):
+        GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
+    monkeypatch.setattr(gaussian, "_ONE_BLAS_THREAD", False)
+    GaussianTarget(np.zeros(2 * n), _schedule_covariance("eq", 2 * n))
+
+    pinned = gaussian._one_blas_thread
+    every = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert pinned(dict.fromkeys(every, "1"))
+    assert pinned({"OPENBLAS_NUM_THREADS": "1"})
+    assert pinned({"OMP_NUM_THREADS": "1"})
+    assert not pinned({})
+    assert not pinned({"MKL_NUM_THREADS": "1"})
+    assert not pinned({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"})
+    assert not pinned({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"})
 
 
 def _invariant_fields(target):
