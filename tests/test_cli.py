@@ -419,9 +419,11 @@ def test_byte_identical_reruns(tmp_path):
 # The exit code and sha256 of stdout for each argument list, recorded after
 # the kernel-domain key left the CLI; mixture_csv was re-recorded when
 # max_entropy_gap_bound began to read log|Sigma| off the target's one factor,
-# which moved its one cell by an ulp.  A change that moves output on purpose
-# re-records these and names the lists that moved; any other change must
-# leave every byte in place.
+# which moved its one cell by an ulp; both mixture lists were re-recorded
+# when the fit defaults went from 10 samples over 200-step windows to 20
+# over 100-step windows.  A change that moves output on purpose re-records
+# these and names the lists that moved; any other change must leave every
+# byte in place.
 PINNED_OUTPUTS = {
     "analyze_eps_csv": (
         "analyze --n 4 --eps 0.5",
@@ -472,12 +474,12 @@ PINNED_OUTPUTS = {
     "mixture_csv": (
         "mixture --separation 10 --seed 0",
         0,
-        "813a1c0da42c624d420b4bb2653039da24f11f22127da4bee425357455cee807",
+        "26651edb65c536f5d2c3dd23734302c3e971da5c71fc9f570c73fd13bf680fc5",
     ),
     "mixture_one_component_json": (
         "mixture --n 2 --weights 1 --seed 1 --format json-lines",
         0,
-        "9aa3060c1d504ce15d2fcda9e4af591001af2caa57f8f7d95b96169382545a70",
+        "114ccfdb7c1a0861468d9f695330145e2e4f0cf95050b186f5f1102cb604ef35",
     ),
 }
 
