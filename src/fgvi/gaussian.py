@@ -129,17 +129,39 @@ def _one_blas_thread(environ) -> bool:
 _ONE_BLAS_THREAD = _one_blas_thread(os.environ)
 
 # From this n up, with one BLAS thread, a target factors C on a worker thread
-# while the calling thread finds C's extreme eigenvalues.  dpotrf and dtrtri
-# release the GIL at every n; numpy's eigvalsh keeps it up to n = 500, so
-# below 501 the worker only waits.  Build plus decompose of an
-# equicorrelated target, ms, 2-core x86-64, numpy 2.4, one OpenBLAS thread:
+# while the calling thread finds C's extreme eigenvalues.  scipy's dpotrf and
+# dtrtri keep the GIL: at n = 2000 a Python thread on the other core ran at
+# 6-13% of its idle rate beside them, and at about its idle rate beside
+# eigvalsh.  The overlap works because numpy's eigvalsh releases the GIL on
+# the caller, which it does only from n = 501; below that the worker only
+# waits.  Build plus decompose of an equicorrelated target, ms, median of
+# three passes, 2-core x86-64, numpy 2.4, one OpenBLAS thread, the worker
+# placed off the caller's CPU:
 #   n                    256   384   500   502   512  1000  2000
-#   one after the other  4.8  12.2  19.5  20.4  23.4   127   909
-#   side by side         6.0  13.9  20.5  14.1  15.9    97   747
-# With threaded BLAS the cores are already busy: at n = 2000 side by side
-# took 899 ms against 709 ms one after the other.  numpy's and scipy's wheels
-# each bundle their own OpenBLAS, so the two calls share no BLAS state.
+#   one after the other  6.0  12.3  21.3  26.5  25.8   142   954
+#   side by side         6.4  14.0  25.6  17.7  18.7   112   758
+# Left unplaced, the worker shared the caller's CPU in about half the fresh
+# processes on that host, and there side by side was no faster at any n:
+# 24.6, 29.2, 150 and 1031 ms from n = 502 up.  With threaded BLAS the
+# cores are already busy: at n = 2000 side by side took 899 ms against 709 ms
+# one after the other.  numpy's and scipy's wheels each bundle their own
+# OpenBLAS, so the two calls share no BLAS state.
 _OVERLAP_MIN_N = 501
+
+
+def _other_cpus() -> set[int] | None:
+    """The CPUs the calling thread may run on, less the one it is on (field 39
+    of Linux's /proc/thread-self/stat); None where the platform cannot place a
+    thread, the CPU cannot be read, or the mask holds no other CPU."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # Fields from the third on follow the last ")", which ends the name.
+            cpu = int(stat.read().rpartition(b")")[2].split()[36])
+        return os.sched_getaffinity(0) - {cpu} or None
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _factor_and_spectrum(cov: np.ndarray) -> tuple[float, np.ndarray, float, float]:
@@ -148,20 +170,31 @@ def _factor_and_spectrum(cov: np.ndarray) -> tuple[float, np.ndarray, float, flo
     one Fortran-ordered copy, whose column sums of squares are S_ii =
     (C^-1)_ii; eigvalsh reads C itself.  From _OVERLAP_MIN_N up, with one
     BLAS thread, the factor runs on a worker thread beside eigvalsh.  The
-    worker allocates no n x n array: glibc would keep its memory in the
-    worker's own arena and raise peak RSS.  It is joined before this returns
-    or raises, and its ConditioningError is raised here ahead of any error of
-    eigvalsh, as when the two run in turn."""
+    worker first limits its own affinity to the CPUs the caller may use, less
+    the one the caller is on, so that the kernel cannot keep both on one CPU;
+    where that fails it runs unplaced, and the caller's own affinity is never
+    changed.  It then waits until the caller sets off into eigvalsh: dpotrf
+    keeps the GIL, so a caller still short of eigvalsh would wait out the
+    factor.  The worker allocates no n x n array: glibc would keep its
+    memory in the worker's own arena and raise peak RSS.  It is joined before
+    this returns or raises, and its ConditioningError is raised here ahead of
+    any error of eigvalsh, as when the two run in turn."""
     corr = _correlation_entries(cov)
     work = corr.copy().T  # C^T is C bit for bit
     if cov.shape[0] < _OVERLAP_MIN_N or not _ONE_BLAS_THREAD:
         factored = [_factor_correlation(work)]
         eigvals = np.linalg.eigvalsh(corr)
     else:
-        factored = []
+        factored, others, ready = [], _other_cpus(), threading.Event()
 
         def factor():
             try:
+                if others:
+                    try:
+                        os.sched_setaffinity(0, others)
+                    except OSError:
+                        pass
+                ready.wait()
                 factored.append(_factor_correlation(work))
             except BaseException as exc:  # raised again on the calling thread
                 factored.append(exc)
@@ -169,8 +202,10 @@ def _factor_and_spectrum(cov: np.ndarray) -> tuple[float, np.ndarray, float, flo
         worker = threading.Thread(target=factor, name="fgvi-factor")
         worker.start()
         try:
+            ready.set()
             eigvals = np.linalg.eigvalsh(corr)
         finally:
+            ready.set()  # a caller interrupted before eigvalsh still frees the worker
             worker.join()
             if isinstance(factored[0], BaseException):
                 raise factored[0]
@@ -228,10 +263,10 @@ class GaussianTarget:
     is then inverted in its own memory to read S_ii = (C^-1)_ii.  C's
     smallest and largest eigenvalues, for κ(C), come from one eigvalsh at
     construction too; for n >= 501 with one BLAS thread it runs on the
-    calling thread while a worker thread factors C.  The target keeps S,
-    log|C| and the two eigenvalues, not L_C^-1: its one n x n array is the
-    covariance, and log|Sigma| follows.  Sigma's whitening is built by
-    whitening().
+    calling thread while a worker thread, placed on another CPU, factors C.
+    The target keeps S, log|C| and the two eigenvalues, not L_C^-1: its one
+    n x n array is the covariance, and log|Sigma| follows.  Sigma's
+    whitening is built by whitening().
     """
 
     mean: np.ndarray

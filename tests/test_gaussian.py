@@ -1,6 +1,7 @@
 """Closed-form factorized approximations and the entropy-gap decomposition."""
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -650,6 +651,11 @@ def _schedule(monkeypatch, overlap):
     return ran_on
 
 
+def _caller_mask():
+    """The calling thread's CPU mask, or None where the platform has none."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 def _schedule_covariance(family, n):
     """Equicorrelated, squared-exponential, Wishart and rescaled Wishart
     covariances, each exactly symmetric and positive definite."""
@@ -702,12 +708,111 @@ def test_factor_beside_eigvalsh_gives_the_same_bits(monkeypatch, family, n):
     assert vars(plain_report) == vars(beside_report)
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or not os.path.exists("/proc/thread-self/stat")
+    or len(_caller_mask() or ()) < 2,
+    reason="needs sched_setaffinity, /proc/thread-self and two or more allowed CPUs",
+)
+def test_worker_runs_off_the_callers_cpu(monkeypatch):
+    """The worker's mask is the caller's, less the one CPU the caller is on:
+    a thread pinned to one CPU finds no other, so the CPU left out is the one
+    the asking thread runs on.  The caller's own mask is never changed."""
+    mask = _caller_mask()
+    for cpu in sorted(mask):
+        found = []
+
+        def pinned(cpu=cpu):
+            os.sched_setaffinity(0, {cpu})
+            found.append(gaussian._other_cpus())
+
+        thread = threading.Thread(target=pinned)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert found == [None], cpu
+    assert _caller_mask() == mask
+
+    _schedule(monkeypatch, True)
+    worker_masks, factor = [], gaussian._factor_correlation
+
+    def spied(work):
+        worker_masks.append(os.sched_getaffinity(0))
+        return factor(work)
+
+    monkeypatch.setattr(gaussian, "_factor_correlation", spied)
+    n = CROSSOVER
+    for _ in range(3):
+        GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
+        assert _caller_mask() == mask
+    for worker_mask in worker_masks:
+        assert worker_mask < mask and len(mask - worker_mask) == 1
+
+
+def test_worker_factors_only_once_the_caller_is_let_go(monkeypatch):
+    """dpotrf keeps the GIL, so a worker that entered it before the caller
+    entered eigvalsh would hold the caller back for the whole factor: the
+    worker waits for the caller's signal, set just before eigvalsh."""
+    events = []
+
+    class Recorded(threading.Event):
+        def __init__(self):
+            super().__init__()
+            events.append(self)
+
+    monkeypatch.setattr(threading, "Event", Recorded)
+    _schedule(monkeypatch, True)
+    signalled, factor = [], gaussian._factor_correlation
+
+    def spied(work):
+        signalled.append(bool(events) and all(event.is_set() for event in events))
+        return factor(work)
+
+    monkeypatch.setattr(gaussian, "_factor_correlation", spied)
+    for n in (CROSSOVER - 1, CROSSOVER):
+        GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
+    assert signalled == [True, True]
+
+
+@pytest.mark.parametrize("placement", ["raises", "absent"])
+def test_unplaced_worker_gives_the_same_bits(monkeypatch, placement):
+    """Where the worker cannot be placed, because sched_setaffinity raises
+    OSError or the platform lacks it, it factors C unplaced: the same bits,
+    and no thread is left."""
+    n, threads, mask = CROSSOVER, threading.enumerate(), _caller_mask()
+    cov = _schedule_covariance("wishart", n)
+    _schedule(monkeypatch, False)
+    plain = GaussianTarget(np.zeros(n), cov)
+    tried = []
+    if placement == "raises":
+
+        def refused(pid, cpus):
+            tried.append(cpus)
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    ran_on = _schedule(monkeypatch, True)
+    beside = GaussianTarget(np.zeros(n), cov)
+    assert ran_on == [False]
+    assert threading.enumerate() == threads
+    assert _caller_mask() == mask
+    if placement == "raises" and len(mask or ()) >= 2:
+        assert len(tried) == 1
+    assert np.array_equal(plain._shrinkage.view(np.int64), beside._shrinkage.view(np.int64))
+    assert np.array_equal(plain.covariance.view(np.int64), beside.covariance.view(np.int64))
+    for name in ("_log_det_c", "_eigenvalue_min", "_eigenvalue_max"):
+        assert getattr(plain, name) == getattr(beside, name), name
+    assert vars(decompose(plain)) == vars(decompose(beside))
+
+
 def test_worker_errors_reach_the_caller_and_leave_no_thread(monkeypatch):
     """A ConditioningError raised on the worker reaches the caller with the
     same column, pivot and threshold as one raised in turn, and it comes
     first there as it does in turn; an eigvalsh error reaches the caller
     too.  No thread is left alive after any of them."""
-    n, threads = CROSSOVER, threading.enumerate()
+    n, threads, mask = CROSSOVER, threading.enumerate(), _caller_mask()
     a = np.random.default_rng(7).standard_normal((n, n - 3))
     singular = a @ a.T
     singular = singular + singular.T  # exactly symmetric, rank n - 3
@@ -731,6 +836,7 @@ def test_worker_errors_reach_the_caller_and_leave_no_thread(monkeypatch):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
         assert threading.enumerate() == threads
+        assert _caller_mask() == mask
 
 
 def test_no_thread_below_the_crossover_or_with_threaded_blas(monkeypatch):
