@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    PIVOT_RTOL,
     ConditioningError,
     log_det_from_cholesky,
     lower_inverse,
@@ -112,7 +113,8 @@ def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
 def _correlation_entries(cov: np.ndarray) -> np.ndarray:
     """C_ij = Sigma_ij / sqrt(Sigma_ii Sigma_jj), unit diagonal; symmetric when Sigma is."""
     scale = np.sqrt(cov.diagonal())
-    c = cov / (scale[:, None] * scale)  # the products of np.outer, bit for bit
+    outer = scale[:, None] * scale  # the products of np.outer, bit for bit
+    c = np.divide(cov, outer, out=outer)
     c.flat[:: c.shape[0] + 1] = 1.0
     return c
 
@@ -134,9 +136,9 @@ _ONE_BLAS_THREAD = _one_blas_thread(os.environ)
 # 6-13% of its idle rate beside them, and at about its idle rate beside
 # eigvalsh.  The overlap works because numpy's eigvalsh releases the GIL on
 # the caller, which it does only from n = 501; below that the worker only
-# waits.  Build plus decompose of an equicorrelated target, ms, median of
-# three passes, 2-core x86-64, numpy 2.4, one OpenBLAS thread, the worker
-# placed off the caller's CPU:
+# waits.  Build plus decompose of a dense target on an equicorrelated
+# matrix, ms, median of three passes, 2-core x86-64, numpy 2.4, one
+# OpenBLAS thread, the worker placed off the caller's CPU:
 #   n                    256   384   500   502   512  1000  2000
 #   one after the other  6.0  12.3  21.3  26.5  25.8   142   954
 #   side by side         6.4  14.0  25.6  17.7  18.7   112   758
@@ -266,13 +268,31 @@ class GaussianTarget:
     calling thread while a worker thread, placed on another CPU, factors C.
     The target keeps S, log|C| and the two eigenvalues, not L_C^-1: its one
     n x n array is the covariance, and log|Sigma| follows.  Sigma's
-    whitening is built by whitening().
+    whitening is built by whitening().  A family that knows these four
+    quantities in closed form, as the equicorrelated one does, supplies
+    them through the private _from_spectrum, which shares this intake and
+    makes no factor and no eigvalsh.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
 
-    def __post_init__(self):
+    @classmethod
+    def _from_spectrum(
+        cls, mean, covariance, spectrum: tuple[float, np.ndarray, float, float]
+    ) -> GaussianTarget:
+        """N(mean, covariance) through the constructor's intake, with
+        spectrum = (log|C|, S, smallest and largest eigenvalue of C) given in
+        place of the factor and eigvalsh.  The caller answers for their
+        values, and for refusing, as the pivot test would, a C that is
+        numerically singular."""
+        target = cls.__new__(cls)
+        object.__setattr__(target, "mean", mean)
+        object.__setattr__(target, "covariance", covariance)
+        target.__post_init__(spectrum)
+        return target
+
+    def __post_init__(self, spectrum=None):
         mean = _real_array(self.mean, "mean", 1)
         # Finite before the symmetry check's inf - inf.  Neither copies exactly
         # symmetric float64 input, so no copy is alive while C is worked on.
@@ -287,7 +307,9 @@ class GaussianTarget:
         if (diag <= 0.0).any():
             j = int(np.argmax(diag <= 0.0))
             raise ConditioningError(j, float(diag[j]), 0.0)
-        log_det_c, shrinkage, smallest, largest = _factor_and_spectrum(cov)
+        if spectrum is None:
+            spectrum = _factor_and_spectrum(cov)
+        log_det_c, shrinkage, smallest, largest = spectrum
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov.copy() if cov is given else cov)
         object.__setattr__(self, "_log_det_c", log_det_c)
@@ -591,3 +613,25 @@ def constant_offdiag_closed_forms(n: int, eps: float) -> ConstantOffDiagClosedFo
         per_component_gap=gap_per_component,
         trace_S_over_n=trace_over_n,
     )
+
+
+def _constant_offdiag_spectrum(n: int, eps: float) -> tuple[float, np.ndarray, float, float]:
+    """(log|C|, S, smallest and largest eigenvalue of C) of the n x n
+    equicorrelation matrix C with off-diagonal eps in [0, 1), in closed form:
+    S_ii and log|C| as in constant_offdiag_closed_forms, eigenvalues 1 - eps
+    and 1 + (n-1) eps, and C = [1] at n = 1.  C is refused as spd_cholesky
+    refuses it, at the first of its exact pivots
+
+        d_k = (1 - eps)(1 + k eps) / (1 + (k-1) eps),   k = 0 .. n-1,
+
+    at or below PIVOT_RTOL, with the same ConditioningError."""
+    k = np.arange(n)
+    pivots = (1.0 - eps) * (1.0 + k * eps) / (1.0 + (k - 1) * eps)
+    passed = pivots > PIVOT_RTOL
+    if not passed.all():
+        j = int(passed.argmin())
+        raise ConditioningError(j, float(pivots[j]), PIVOT_RTOL)
+    if n == 1:
+        return 0.0, np.ones(1), 1.0, 1.0
+    forms = constant_offdiag_closed_forms(n, eps)
+    return forms.log_det_C, np.full(n, forms.trace_S_over_n), 1.0 - eps, 1.0 + (n - 1) * eps

@@ -22,6 +22,7 @@ from .gaussian import (
     GaussianTarget,
     _check_dimension,
     _check_seed,
+    _constant_offdiag_spectrum,
     _correlation_entries,
 )
 from .linalg import ConditioningError
@@ -104,10 +105,20 @@ def squared_exponential_target(config: KernelConfig) -> GaussianTarget:
 
 def constant_offdiag_target(config: ConstantOffDiagConfig) -> GaussianTarget:
     """Zero-mean Gaussian target with unit variances and constant
-    off-diagonal correlation eps."""
-    cov = np.full((config.n, config.n), config.eps, dtype=float)
+    off-diagonal correlation eps.
+
+    Its log|C|, S and extreme eigenvalues come from the family's closed
+    forms, not from a factor and eigvalsh, so building it calls no LAPACK;
+    an eps whose exact Cholesky pivots fail the pivot test raises the same
+    ConditioningError, at the same column, as factoring the matrix would.
+    The covariance still goes through GaussianTarget's intake, which keeps
+    its own copy.
+    """
+    n, eps = config.n, config.eps
+    spectrum = _constant_offdiag_spectrum(n, eps)
+    cov = np.full((n, n), eps, dtype=float)
     np.fill_diagonal(cov, 1.0)
-    return GaussianTarget(mean=np.zeros(config.n), covariance=cov)
+    return GaussianTarget._from_spectrum(np.zeros(n), cov, spectrum)
 
 
 def random_correlation_matrix(n: int, seed: int) -> CorrelationMatrix:

@@ -337,6 +337,21 @@ def test_correlation_hand_example():
     assert np.allclose(correlation_from_covariance(target).entries, expected)
 
 
+def test_correlation_entries_divide_in_place_to_the_same_bits():
+    """C is divided into the outer product's own buffer: the same bits as
+    the quotient of Sigma by a separate outer product."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 64, 300):
+        a = rng.standard_normal((n, n))
+        scale = np.exp(rng.normal(0.0, 3.0, n))
+        cov = (a @ a.T + n * np.eye(n)) * np.outer(scale, scale)
+        d = np.sqrt(cov.diagonal())
+        expected = cov / (d[:, None] * d)
+        expected.flat[:: n + 1] = 1.0
+        got = gaussian._correlation_entries(cov)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
+
+
 def test_correlation_of_constant_offdiag_is_itself():
     target = _constant_offdiag(6, 0.37)
     c = correlation_from_covariance(target)
@@ -569,7 +584,8 @@ def test_decomposition_invariants_property(n, seed):
 
 def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     """A target makes one LAPACK factorization, one triangular inverse and
-    one eigvalsh, for κ.  Of what is built from it, only the whitening, which
+    one eigvalsh, for κ; an equicorrelated one, whose spectrum is in closed
+    form, makes none.  Of what is built from it, only the whitening, which
     the target does not keep, makes one more pair: once per density closure,
     never per call.  Nothing else finds an eigenvalue."""
     calls = []
@@ -604,6 +620,16 @@ def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     density(np.zeros((4, 9)))
     density(np.ones((2, 9)))
     assert calls == built(9) + pair
+
+    # An equicorrelated target takes its spectrum from its closed forms.
+    calls.clear()
+    target = _constant_offdiag(9, 0.3)
+    decompose(target)
+    fgvi_solve(target)
+    assert calls == []
+    density = gaussian_log_density_fn(target)
+    density(np.zeros((4, 9)))
+    assert calls == pair
 
     # A Wishart draw is not factored until a target is built from it.
     calls.clear()
@@ -952,6 +978,66 @@ def test_closed_forms_match_dense_decomposition():
             )
             psi = fgvi_solve(_constant_offdiag(n, eps)).variances
             assert psi[0] == pytest.approx(forms.psi_ratio, rel=1e-8)
+
+
+def _agree(got, dense, tol):
+    return np.all(np.abs(np.asarray(got) - dense) <= tol * np.maximum(1.0, np.abs(dense)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 500, 501, 1200])
+def test_closed_form_target_matches_dense_target(n):
+    """An equicorrelated target, whose log|C|, S and extreme eigenvalues are
+    closed forms, agrees with a dense target on the same matrix in those and
+    in every report field, within max(1e-12, n κ 2^-52)."""
+    for eps in (0.0, 0.2, 0.5, 0.9, 0.999):
+        closed = _constant_offdiag(n, eps)
+        dense = GaussianTarget(np.zeros(n), closed.covariance)
+        kappa = dense._eigenvalue_max / dense._eigenvalue_min
+        tol = max(1e-12, n * kappa * 2.0**-52)
+        for name in ("_shrinkage", "_log_det_c", "_eigenvalue_min", "_eigenvalue_max"):
+            assert _agree(getattr(closed, name), getattr(dense, name), tol), (n, eps, name)
+        assert np.array_equal(closed.covariance, dense.covariance)
+        closed_report, dense_report = vars(decompose(closed)), vars(decompose(dense))
+        for name, value in dense_report.items():
+            assert _agree(closed_report[name], value, tol), (n, eps, name)
+
+
+def test_closed_form_condition_number_is_exact():
+    assert decompose(_constant_offdiag(4, 0.5)).condition_number == 5.0
+    assert _constant_offdiag(1, 0.7)._eigenvalue_min == 1.0
+
+
+def _refusal(build):
+    """The ConditioningError build() raises, or None."""
+    try:
+        build()
+    except ConditioningError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 6, 600])
+def test_closed_form_target_refuses_what_the_factor_refuses(n):
+    """Whether an eps passes the pivot test, and at which column it fails,
+    is the same from the closed-form pivots as from factoring the matrix,
+    for eps well on each side of the threshold 1e-12: the pivots
+    d_k = (1 - eps)(1 + k eps) / (1 + (k-1) eps) fall from 1 towards 1 - eps."""
+    columns = []
+    for gap in (1e-10, 2e-12, 7e-13, 5e-13, 1e-14, 2.0**-53):
+        eps = 1.0 - gap
+        cov = np.full((n, n), eps)
+        np.fill_diagonal(cov, 1.0)
+        dense = _refusal(lambda: GaussianTarget(np.zeros(n), cov))
+        closed = _refusal(lambda: _constant_offdiag(n, eps))
+        columns.append(None if closed is None else closed.column)
+        if dense is None:
+            assert closed is None, (n, gap)
+            continue
+        assert closed is not None, (n, gap)
+        assert (closed.column, closed.threshold) == (dense.column, dense.threshold)
+        assert closed.pivot == pytest.approx(dense.pivot, rel=1e-3)
+    # At n = 2 the one pivot below 1 is d_1 = (1 - eps)(1 + eps), near 2 (1 - eps).
+    assert columns == ([None] * 4 if n == 2 else [None, None, 3, 2]) + [1, 1]
 
 
 def test_closed_forms_record_is_frozen():
