@@ -223,13 +223,18 @@ def _factor_correlation(work: np.ndarray) -> tuple[float, np.ndarray]:
     return log_det, np.einsum("ij,ij->j", inverse, inverse)
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; bool subclasses int, but True is no count and no seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_dimension(value: int, what: str = "n") -> None:
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < _SEED_MAX:
+    if not _is_integer(seed) or not 0 <= int(seed) < _SEED_MAX:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
 
@@ -241,7 +246,10 @@ def _real_array(x, what: str, ndim: int, copy: bool = True, finite: bool = True)
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got dtype {x.dtype}")
-    x = x.astype(float, copy=copy)
+    try:
+        x = x.astype(float, copy=copy)
+    except TypeError:  # an object array holding, say, a complex number or a dict
+        raise ValueError(f"{what} must be real, got dtype {x.dtype}") from None
     if x.ndim != ndim or 0 in x.shape:
         kind = "a vector of length >= 1" if ndim == 1 else "a matrix with no empty axis"
         raise ValueError(f"{what} must be {kind}, got shape {x.shape}")
@@ -256,10 +264,10 @@ class GaussianTarget:
 
     Both must be real and finite: complex input is refused, not cut to its
     real part.  The covariance is validated symmetric (relative tolerance
-    1e-12) and positive definite at construction.  The target keeps its own
-    copy of both: exactly symmetric input is tested bit for bit and copied
-    last, once the work below has freed its arrays; other input is stored as
-    0.5 * (Sigma + Sigma^T).  Only its correlation matrix
+    1e-12) and positive definite at construction.  The constructor keeps its
+    own copy of both: exactly symmetric input is tested bit for bit and
+    copied last, once the work below has freed its arrays; other input is
+    stored as 0.5 * (Sigma + Sigma^T).  Only its correlation matrix
     C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is blind to
     how each coordinate is scaled.  log|C| is read off the factor L_C, which
     is then inverted in its own memory to read S_ii = (C^-1)_ii.  C's
@@ -270,8 +278,9 @@ class GaussianTarget:
     n x n array is the covariance, and log|Sigma| follows.  Sigma's
     whitening is built by whitening().  A family that knows these four
     quantities in closed form, as the equicorrelated one does, supplies
-    them through the private _from_spectrum, which shares this intake and
-    makes no factor and no eigvalsh.
+    them through the private _from_spectrum, which shares this intake,
+    makes no factor and no eigvalsh, and keeps the covariance it is handed
+    rather than a copy.
     """
 
     mean: np.ndarray
@@ -285,7 +294,8 @@ class GaussianTarget:
         spectrum = (log|C|, S, smallest and largest eigenvalue of C) given in
         place of the factor and eigvalsh.  The caller answers for their
         values, and for refusing, as the pivot test would, a C that is
-        numerically singular."""
+        numerically singular.  The caller hands over a covariance it built
+        and holds nowhere else, which the target keeps rather than a copy."""
         target = cls.__new__(cls)
         object.__setattr__(target, "mean", mean)
         object.__setattr__(target, "covariance", covariance)
@@ -309,9 +319,11 @@ class GaussianTarget:
             raise ConditioningError(j, float(diag[j]), 0.0)
         if spectrum is None:
             spectrum = _factor_and_spectrum(cov)
+            if cov is given:
+                cov = cov.copy()
         log_det_c, shrinkage, smallest, largest = spectrum
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov.copy() if cov is given else cov)
+        object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "_log_det_c", log_det_c)
         object.__setattr__(self, "_shrinkage", shrinkage)
         object.__setattr__(self, "_eigenvalue_min", smallest)

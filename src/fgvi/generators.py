@@ -111,8 +111,9 @@ def constant_offdiag_target(config: ConstantOffDiagConfig) -> GaussianTarget:
     forms, not from a factor and eigvalsh, so building it calls no LAPACK;
     an eps whose exact Cholesky pivots fail the pivot test raises the same
     ConditioningError, at the same column, as factoring the matrix would.
-    The covariance still goes through GaussianTarget's intake, which keeps
-    its own copy.
+    The covariance still goes through GaussianTarget's intake, every check
+    included, and the target keeps the matrix built here, which nothing
+    else holds, rather than a copy.
     """
     n, eps = config.n, config.eps
     spectrum = _constant_offdiag_spectrum(n, eps)

@@ -118,6 +118,16 @@ _REFUSALS = {
         ValueError,
         "n must be a positive integer, got 0",
     ),
+    "n = True in ConstantOffDiagConfig": (
+        lambda: ConstantOffDiagConfig(n=True, eps=0.5),
+        ValueError,
+        "n must be a positive integer, got True",
+    ),
+    "seed = False in KernelConfig": (
+        lambda: KernelConfig(n=4, rho=1.0, seed=False),
+        ValueError,
+        "seed must be an unsigned 64-bit integer, got False",
+    ),
     "n = 0 in random_correlation_matrix": (
         lambda: random_correlation_matrix(0, 0),
         ValueError,
@@ -132,6 +142,16 @@ _REFUSALS = {
         lambda: OptimizerConfig(mc_samples=1.5),
         ValueError,
         "mc_samples must be a positive integer, got 1.5",
+    ),
+    "mc_samples = True": (
+        lambda: OptimizerConfig(mc_samples=True),
+        ValueError,
+        "mc_samples must be a positive integer, got True",
+    ),
+    "seed = True in OptimizerConfig": (
+        lambda: OptimizerConfig(seed=True),
+        ValueError,
+        "seed must be an unsigned 64-bit integer, got True",
     ),
     "window = 2.5": (
         lambda: OptimizerConfig(window=2.5),

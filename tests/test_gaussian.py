@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,16 @@ _REFUSALS = {
         lambda: gaussian_entropy(math.nan, 2),
         ValueError,
         "log-determinant must be finite, got nan",
+    ),
+    "entropy of n = True": (
+        lambda: gaussian_entropy(0.0, True),
+        ValueError,
+        "n must be a positive integer, got True",
+    ),
+    "object covariance holding a complex number": (
+        lambda: GaussianTarget(np.zeros(2), np.array([[1, 0], [0, 1j]], dtype=object)),
+        ValueError,
+        "covariance must be real, got dtype object",
     ),
 }
 
@@ -1038,6 +1049,58 @@ def test_closed_form_target_refuses_what_the_factor_refuses(n):
         assert closed.pivot == pytest.approx(dense.pivot, rel=1e-3)
     # At n = 2 the one pivot below 1 is d_1 = (1 - eps)(1 + eps), near 2 (1 - eps).
     assert columns == ([None] * 4 if n == 2 else [None, None, 3, 2]) + [1, 1]
+
+
+def test_closed_form_build_holds_one_matrix():
+    """The target keeps the matrix constant_offdiag_target built rather than
+    a copy, so the build's traced peak is that one n x n array and the
+    intake checks' temporaries: 2.0 x 8 n^2 bytes with a copy."""
+    n = 1000
+    _constant_offdiag(8, 0.2)  # first-call allocations, untraced
+    tracemalloc.start()
+    try:
+        _constant_offdiag(n, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+
+
+def _spectrum(target):
+    return (target._log_det_c, target._shrinkage, target._eigenvalue_min, target._eigenvalue_max)
+
+
+def test_from_spectrum_keeps_the_covariance_it_is_handed():
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    public = GaussianTarget(np.zeros(2), cov)
+    kept = GaussianTarget._from_spectrum(np.zeros(2), cov, _spectrum(public))
+    assert public.covariance is not cov and kept.covariance is cov
+    assert decompose(kept) == decompose(public)
+
+
+# Covariances the intake refuses beside a mean of length 2.
+_INTAKE_REFUSALS = {
+    "non-finite": [[1.0, np.nan], [np.nan, 1.0]],
+    "asymmetric": [[1.0, 0.5], [0.3, 1.0]],
+    "non-square": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    "non-positive diagonal": [[1.0, 0.0], [0.0, 0.0]],
+    "dimension mismatch": np.eye(3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INTAKE_REFUSALS))
+def test_from_spectrum_refuses_what_the_constructor_refuses(case):
+    """The private door runs the constructor's intake: the same error type
+    and message for each covariance the constructor refuses."""
+    spectrum = _spectrum(GaussianTarget(np.zeros(2), np.eye(2)))
+
+    def refusal(build):
+        with pytest.raises(Exception) as info:
+            build(np.zeros(2), np.array(_INTAKE_REFUSALS[case], dtype=float))
+        return type(info.value), str(info.value)
+
+    public = refusal(GaussianTarget)
+    assert refusal(lambda mean, cov: GaussianTarget._from_spectrum(mean, cov, spectrum)) == public
 
 
 def test_closed_forms_record_is_frozen():
