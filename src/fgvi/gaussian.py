@@ -22,8 +22,6 @@ All entropies and divergences are in nats.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,108 +117,19 @@ def _correlation_entries(cov: np.ndarray) -> np.ndarray:
     return c
 
 
-def _one_blas_thread(environ) -> bool:
-    """Whether each BLAS call runs on one thread: OpenBLAS, which numpy's and
-    scipy's wheels link, reads OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; an
-    MKL build reads MKL_NUM_THREADS."""
-    openblas = environ.get("OPENBLAS_NUM_THREADS") or environ.get("OMP_NUM_THREADS")
-    return openblas == "1" and environ.get("MKL_NUM_THREADS", "1") == "1"
-
-
-# Read once, as BLAS reads its thread count once, when it loads.
-_ONE_BLAS_THREAD = _one_blas_thread(os.environ)
-
-# From this n up, with one BLAS thread, a target factors C on a worker thread
-# while the calling thread finds C's extreme eigenvalues.  scipy's dpotrf and
-# dtrtri keep the GIL: at n = 2000 a Python thread on the other core ran at
-# 6-13% of its idle rate beside them, and at about its idle rate beside
-# eigvalsh.  The overlap works because numpy's eigvalsh releases the GIL on
-# the caller, which it does only from n = 501; below that the worker only
-# waits.  Build plus decompose of a dense target on an equicorrelated
-# matrix, ms, median of three passes, 2-core x86-64, numpy 2.4, one
-# OpenBLAS thread, the worker placed off the caller's CPU:
-#   n                    256   384   500   502   512  1000  2000
-#   one after the other  6.0  12.3  21.3  26.5  25.8   142   954
-#   side by side         6.4  14.0  25.6  17.7  18.7   112   758
-# Left unplaced, the worker shared the caller's CPU in about half the fresh
-# processes on that host, and there side by side was no faster at any n:
-# 24.6, 29.2, 150 and 1031 ms from n = 502 up.  With threaded BLAS the
-# cores are already busy: at n = 2000 side by side took 899 ms against 709 ms
-# one after the other.  numpy's and scipy's wheels each bundle their own
-# OpenBLAS, so the two calls share no BLAS state.
-_OVERLAP_MIN_N = 501
-
-
-def _other_cpus() -> set[int] | None:
-    """The CPUs the calling thread may run on, less the one it is on (field 39
-    of Linux's /proc/thread-self/stat); None where the platform cannot place a
-    thread, the CPU cannot be read, or the mask holds no other CPU."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    try:
-        with open("/proc/thread-self/stat", "rb") as stat:
-            # Fields from the third on follow the last ")", which ends the name.
-            cpu = int(stat.read().rpartition(b")")[2].split()[36])
-        return os.sched_getaffinity(0) - {cpu} or None
-    except (OSError, ValueError, IndexError):
-        return None
-
-
 def _factor_and_spectrum(cov: np.ndarray) -> tuple[float, np.ndarray, float, float]:
     """(log|C|, S, smallest and largest eigenvalue of C) for the correlation
     matrix C of cov.  C is factored, and its factor inverted, in the memory of
     one Fortran-ordered copy, whose column sums of squares are S_ii =
-    (C^-1)_ii; eigvalsh reads C itself.  From _OVERLAP_MIN_N up, with one
-    BLAS thread, the factor runs on a worker thread beside eigvalsh.  The
-    worker first limits its own affinity to the CPUs the caller may use, less
-    the one the caller is on, so that the kernel cannot keep both on one CPU;
-    where that fails it runs unplaced, and the caller's own affinity is never
-    changed.  It then waits until the caller sets off into eigvalsh: dpotrf
-    keeps the GIL, so a caller still short of eigvalsh would wait out the
-    factor.  The worker allocates no n x n array: glibc would keep its
-    memory in the worker's own arena and raise peak RSS.  It is joined before
-    this returns or raises, and its ConditioningError is raised here ahead of
-    any error of eigvalsh, as when the two run in turn."""
+    (C^-1)_ii; eigvalsh then reads C itself.  Both run on the calling thread,
+    one after the other, so a ConditioningError of the factor comes first."""
     corr = _correlation_entries(cov)
-    work = corr.copy().T  # C^T is C bit for bit
-    if cov.shape[0] < _OVERLAP_MIN_N or not _ONE_BLAS_THREAD:
-        factored = [_factor_correlation(work)]
-        eigvals = np.linalg.eigvalsh(corr)
-    else:
-        factored, others, ready = [], _other_cpus(), threading.Event()
-
-        def factor():
-            try:
-                if others:
-                    try:
-                        os.sched_setaffinity(0, others)
-                    except OSError:
-                        pass
-                ready.wait()
-                factored.append(_factor_correlation(work))
-            except BaseException as exc:  # raised again on the calling thread
-                factored.append(exc)
-
-        worker = threading.Thread(target=factor, name="fgvi-factor")
-        worker.start()
-        try:
-            ready.set()
-            eigvals = np.linalg.eigvalsh(corr)
-        finally:
-            ready.set()  # a caller interrupted before eigvalsh still frees the worker
-            worker.join()
-            if isinstance(factored[0], BaseException):
-                raise factored[0]
-    log_det, shrinkage = factored[0]
-    return log_det, shrinkage, float(eigvals[0]), float(eigvals[-1])
-
-
-def _factor_correlation(work: np.ndarray) -> tuple[float, np.ndarray]:
-    """(log|C|, S) from a Fortran-ordered C, factored and inverted in place."""
-    lower = spd_cholesky(work, overwrite=True)
+    lower = spd_cholesky(corr.copy().T, overwrite=True)  # C^T is C bit for bit
     log_det = log_det_from_cholesky(lower)
     inverse = lower_inverse(lower, overwrite=True)
-    return log_det, np.einsum("ij,ij->j", inverse, inverse)
+    shrinkage = np.einsum("ij,ij->j", inverse, inverse)
+    eigvals = np.linalg.eigvalsh(corr)
+    return log_det, shrinkage, float(eigvals[0]), float(eigvals[-1])
 
 
 def _is_integer(value) -> bool:
@@ -242,9 +151,9 @@ def _check_seed(seed: int) -> int:
 def _real_array(x, what: str, ndim: int, copy: bool = True, finite: bool = True) -> np.ndarray:
     """The one intake rule of array arguments: x as a float64 array with ``ndim`` non-empty
     axes, a new one if ``copy``, and finite if ``finite``; complex input is refused, not cut
-    to its real part."""
+    to its real part, and so are strings and bytes, not parsed as numbers."""
     x = np.asarray(x)
-    if x.dtype.kind == "c":
+    if x.dtype.kind in "cUS":
         raise ValueError(f"{what} must be real, got dtype {x.dtype}")
     try:
         x = x.astype(float, copy=copy)
@@ -263,17 +172,17 @@ class GaussianTarget:
     """A multivariate Gaussian N(mean, covariance).
 
     Both must be real and finite: complex input is refused, not cut to its
-    real part.  The covariance is validated symmetric (relative tolerance
-    1e-12) and positive definite at construction.  The constructor keeps its
-    own copy of both: exactly symmetric input is tested bit for bit and
+    real part, and string or bytes input is refused, not parsed.  The
+    covariance is validated symmetric (relative tolerance 1e-12) and
+    positive definite at construction.  The constructor keeps its own copy
+    of both: exactly symmetric input is tested bit for bit and
     copied last, once the work below has freed its arrays; other input is
     stored as 0.5 * (Sigma + Sigma^T).  Only its correlation matrix
     C = D^-1/2 Sigma D^-1/2 is factored, once, so the pivot test is blind to
     how each coordinate is scaled.  log|C| is read off the factor L_C, which
     is then inverted in its own memory to read S_ii = (C^-1)_ii.  C's
     smallest and largest eigenvalues, for κ(C), come from one eigvalsh at
-    construction too; for n >= 501 with one BLAS thread it runs on the
-    calling thread while a worker thread, placed on another CPU, factors C.
+    construction too, run after the factor on the calling thread.
     The target keeps S, log|C| and the two eigenvalues, not L_C^-1: its one
     n x n array is the covariance, and log|Sigma| follows.  Sigma's
     whitening is built by whitening().  A family that knows these four

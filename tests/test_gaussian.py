@@ -1,8 +1,6 @@
 """Closed-form factorized approximations and the entropy-gap decomposition."""
 
 import math
-import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -320,6 +318,21 @@ _REFUSALS = {
         ValueError,
         "covariance must be real, got dtype object",
     ),
+    "str covariance": (
+        lambda: GaussianTarget(np.zeros(1), np.array([["1.5"]])),
+        ValueError,
+        "covariance must be real, got dtype <U3",
+    ),
+    "bytes mean": (
+        lambda: GaussianTarget(np.array([b"2"]), np.eye(1)),
+        ValueError,
+        "mean must be real, got dtype |S1",
+    ),
+    "str factorized variances": (
+        lambda: FactorizedGaussian(np.zeros(1), np.array(["a"])),
+        ValueError,
+        "variances must be real, got dtype <U1",
+    ),
 }
 
 
@@ -599,14 +612,17 @@ def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     form, makes none.  Of what is built from it, only the whitening, which
     the target does not keep, makes one more pair: once per density closure,
     never per call.  Nothing else finds an eigenvalue."""
-    calls = []
+    calls, shared = [], []
 
     def counting(owner, name):
         routine = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls.append((name, args[0].shape))
-            return routine(*args, **kwargs)
+            out = routine(*args, **kwargs)
+            if name != "eigvalsh":
+                shared.append(np.shares_memory(out[0], args[0]))
+            return out
 
         monkeypatch.setattr(owner, name, counted)
 
@@ -620,6 +636,8 @@ def test_one_factorization_per_target(monkeypatch, tmp_path, capsys):
     pair = [("dpotrf", (9, 9)), ("dtrtri", (9, 9))]
     target = random_spd_target(9, np.random.default_rng(3))
     assert calls == built(9)
+    # C is factored, and its factor inverted, in the memory of the one copy.
+    assert shared == [True, True]
     decompose(target)
     fgvi_solve(target)
     correlation_from_covariance(target)
@@ -666,242 +684,6 @@ def test_target_keeps_one_square_array():
         first, second = target.whitening(), target.whitening()
         assert first is not second
         assert first.tobytes() == second.tobytes()
-
-
-# ------------------------------------------------------ factor beside κ
-
-CROSSOVER = gaussian._OVERLAP_MIN_N
-
-
-def _schedule(monkeypatch, overlap):
-    """Force the factor beside eigvalsh at every n, or one after the other;
-    the threads the factor ran on are listed (True: the calling thread)."""
-    monkeypatch.setattr(gaussian, "_ONE_BLAS_THREAD", overlap)
-    monkeypatch.setattr(gaussian, "_OVERLAP_MIN_N", 1)
-    ran_on, factor = [], gaussian._factor_correlation
-
-    def spied(work):
-        ran_on.append(threading.current_thread() is threading.main_thread())
-        return factor(work)
-
-    monkeypatch.setattr(gaussian, "_factor_correlation", spied)
-    return ran_on
-
-
-def _caller_mask():
-    """The calling thread's CPU mask, or None where the platform has none."""
-    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-
-
-def _schedule_covariance(family, n):
-    """Equicorrelated, squared-exponential, Wishart and rescaled Wishart
-    covariances, each exactly symmetric and positive definite."""
-    rng = np.random.default_rng(n)
-    if family == "eq":
-        cov = np.full((n, n), 0.3)
-        np.fill_diagonal(cov, 1.0)
-        return cov
-    if family == "se":
-        x = rng.uniform(0.0, KernelConfig.domain_upper, n)
-        return np.exp(-((x[:, None] - x[None, :]) / 0.5) ** 2) + 1e-8 * np.eye(n)
-    cov = random_correlation_matrix(n, n).entries
-    if family == "rescaled":
-        scale = np.exp(rng.normal(0.0, 1.0, n))
-        cov = cov * np.outer(scale, scale)
-    return cov
-
-
-@pytest.mark.parametrize("family", ["eq", "se", "wishart", "rescaled"])
-@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER, 2 * CROSSOVER])
-def test_factor_beside_eigvalsh_gives_the_same_bits(monkeypatch, family, n):
-    """At the crossover, one below it and twice it, a target and its report
-    are the same bit for bit whether C is factored on a worker thread beside
-    eigvalsh or before it; the worker factors and inverts C in the memory of
-    the one copy made for it, and it is gone once the target is built."""
-    cov, threads = _schedule_covariance(family, n), threading.enumerate()
-    shared = []
-    for name in ("dpotrf", "dtrtri"):
-        routine = getattr(linalg.lapack, name)
-
-        def in_place(a, *args, routine=routine, **kwargs):
-            out = routine(a, *args, **kwargs)
-            shared.append(np.shares_memory(out[0], a))
-            return out
-
-        monkeypatch.setattr(linalg.lapack, name, in_place)
-    built = {}
-    for overlap in (False, True):
-        ran_on = _schedule(monkeypatch, overlap)
-        target = GaussianTarget(np.zeros(n), cov)
-        assert ran_on == [not overlap]
-        assert threading.enumerate() == threads
-        built[overlap] = target, decompose(target)
-    assert shared == [True, True] * 2
-    (plain, plain_report), (beside, beside_report) = built[False], built[True]
-    assert np.array_equal(plain._shrinkage.view(np.int64), beside._shrinkage.view(np.int64))
-    assert np.array_equal(plain.covariance.view(np.int64), beside.covariance.view(np.int64))
-    for name in ("_log_det_c", "_eigenvalue_min", "_eigenvalue_max"):
-        assert getattr(plain, name) == getattr(beside, name), name
-    assert vars(plain_report) == vars(beside_report)
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity")
-    or not os.path.exists("/proc/thread-self/stat")
-    or len(_caller_mask() or ()) < 2,
-    reason="needs sched_setaffinity, /proc/thread-self and two or more allowed CPUs",
-)
-def test_worker_runs_off_the_callers_cpu(monkeypatch):
-    """The worker's mask is the caller's, less the one CPU the caller is on:
-    a thread pinned to one CPU finds no other, so the CPU left out is the one
-    the asking thread runs on.  The caller's own mask is never changed."""
-    mask = _caller_mask()
-    for cpu in sorted(mask):
-        found = []
-
-        def pinned(cpu=cpu):
-            os.sched_setaffinity(0, {cpu})
-            found.append(gaussian._other_cpus())
-
-        thread = threading.Thread(target=pinned)
-        thread.start()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert found == [None], cpu
-    assert _caller_mask() == mask
-
-    _schedule(monkeypatch, True)
-    worker_masks, factor = [], gaussian._factor_correlation
-
-    def spied(work):
-        worker_masks.append(os.sched_getaffinity(0))
-        return factor(work)
-
-    monkeypatch.setattr(gaussian, "_factor_correlation", spied)
-    n = CROSSOVER
-    for _ in range(3):
-        GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
-        assert _caller_mask() == mask
-    for worker_mask in worker_masks:
-        assert worker_mask < mask and len(mask - worker_mask) == 1
-
-
-def test_worker_factors_only_once_the_caller_is_let_go(monkeypatch):
-    """dpotrf keeps the GIL, so a worker that entered it before the caller
-    entered eigvalsh would hold the caller back for the whole factor: the
-    worker waits for the caller's signal, set just before eigvalsh."""
-    events = []
-
-    class Recorded(threading.Event):
-        def __init__(self):
-            super().__init__()
-            events.append(self)
-
-    monkeypatch.setattr(threading, "Event", Recorded)
-    _schedule(monkeypatch, True)
-    signalled, factor = [], gaussian._factor_correlation
-
-    def spied(work):
-        signalled.append(bool(events) and all(event.is_set() for event in events))
-        return factor(work)
-
-    monkeypatch.setattr(gaussian, "_factor_correlation", spied)
-    for n in (CROSSOVER - 1, CROSSOVER):
-        GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
-    assert signalled == [True, True]
-
-
-@pytest.mark.parametrize("placement", ["raises", "absent"])
-def test_unplaced_worker_gives_the_same_bits(monkeypatch, placement):
-    """Where the worker cannot be placed, because sched_setaffinity raises
-    OSError or the platform lacks it, it factors C unplaced: the same bits,
-    and no thread is left."""
-    n, threads, mask = CROSSOVER, threading.enumerate(), _caller_mask()
-    cov = _schedule_covariance("wishart", n)
-    _schedule(monkeypatch, False)
-    plain = GaussianTarget(np.zeros(n), cov)
-    tried = []
-    if placement == "raises":
-
-        def refused(pid, cpus):
-            tried.append(cpus)
-            raise OSError(22, "Invalid argument")
-
-        monkeypatch.setattr(os, "sched_setaffinity", refused)
-    else:
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-    ran_on = _schedule(monkeypatch, True)
-    beside = GaussianTarget(np.zeros(n), cov)
-    assert ran_on == [False]
-    assert threading.enumerate() == threads
-    assert _caller_mask() == mask
-    if placement == "raises" and len(mask or ()) >= 2:
-        assert len(tried) == 1
-    assert np.array_equal(plain._shrinkage.view(np.int64), beside._shrinkage.view(np.int64))
-    assert np.array_equal(plain.covariance.view(np.int64), beside.covariance.view(np.int64))
-    for name in ("_log_det_c", "_eigenvalue_min", "_eigenvalue_max"):
-        assert getattr(plain, name) == getattr(beside, name), name
-    assert vars(decompose(plain)) == vars(decompose(beside))
-
-
-def test_worker_errors_reach_the_caller_and_leave_no_thread(monkeypatch):
-    """A ConditioningError raised on the worker reaches the caller with the
-    same column, pivot and threshold as one raised in turn, and it comes
-    first there as it does in turn; an eigvalsh error reaches the caller
-    too.  No thread is left alive after any of them."""
-    n, threads, mask = CROSSOVER, threading.enumerate(), _caller_mask()
-    a = np.random.default_rng(7).standard_normal((n, n - 3))
-    singular = a @ a.T
-    singular = singular + singular.T  # exactly symmetric, rank n - 3
-    raised = []
-    for overlap in (False, True):
-        _schedule(monkeypatch, overlap)
-        with pytest.raises(ConditioningError) as info:
-            GaussianTarget(np.zeros(n), singular)
-        assert threading.enumerate() == threads
-        raised.append((info.value.column, info.value.pivot, info.value.threshold, str(info.value)))
-    assert raised[0] == raised[1]
-
-    def failing(matrix):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    for overlap in (False, True):
-        _schedule(monkeypatch, overlap)
-        with pytest.raises(ConditioningError):
-            GaussianTarget(np.zeros(n), singular)
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
-        assert threading.enumerate() == threads
-        assert _caller_mask() == mask
-
-
-def test_no_thread_below_the_crossover_or_with_threaded_blas(monkeypatch):
-    """Below the crossover, and at any n unless BLAS runs one thread, the
-    target starts no thread; one BLAS thread is read from the variables
-    OpenBLAS and MKL read."""
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", refused)
-    n = CROSSOVER
-    monkeypatch.setattr(gaussian, "_ONE_BLAS_THREAD", True)
-    GaussianTarget(np.zeros(n - 1), _schedule_covariance("eq", n - 1))
-    with pytest.raises(AssertionError, match="thread was started"):
-        GaussianTarget(np.zeros(n), _schedule_covariance("eq", n))
-    monkeypatch.setattr(gaussian, "_ONE_BLAS_THREAD", False)
-    GaussianTarget(np.zeros(2 * n), _schedule_covariance("eq", 2 * n))
-
-    pinned = gaussian._one_blas_thread
-    every = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    assert pinned(dict.fromkeys(every, "1"))
-    assert pinned({"OPENBLAS_NUM_THREADS": "1"})
-    assert pinned({"OMP_NUM_THREADS": "1"})
-    assert not pinned({})
-    assert not pinned({"MKL_NUM_THREADS": "1"})
-    assert not pinned({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"})
-    assert not pinned({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"})
 
 
 def _invariant_fields(target):
