@@ -1,6 +1,7 @@
 """Closed-form factorized approximations and the entropy-gap decomposition."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -332,6 +333,21 @@ _REFUSALS = {
         lambda: FactorizedGaussian(np.zeros(1), np.array(["a"])),
         ValueError,
         "variances must be real, got dtype <U1",
+    ),
+    "bytes covariance": (
+        lambda: GaussianTarget(np.zeros(1), np.array([[b"2"]])),
+        ValueError,
+        "covariance must be real, got dtype |S1",
+    ),
+    "str mean that parses as no number": (
+        lambda: GaussianTarget(np.array(["a"]), np.eye(1)),
+        ValueError,
+        "mean must be real, got dtype <U1",
+    ),
+    "bytes factorized mean": (
+        lambda: FactorizedGaussian(np.array([b"0.5"]), np.ones(1)),
+        ValueError,
+        "mean must be real, got dtype |S3",
     ),
 }
 
@@ -684,6 +700,117 @@ def test_target_keeps_one_square_array():
         first, second = target.whitening(), target.whitening()
         assert first is not second
         assert first.tobytes() == second.tobytes()
+
+
+# ------------------------------------------------------- factor and κ
+
+
+def _dense_covariance(family, n):
+    """Equicorrelated, squared-exponential, Wishart and rescaled Wishart
+    covariances, each exactly symmetric and positive definite."""
+    rng = np.random.default_rng(n)
+    if family == "eq":
+        cov = np.full((n, n), 0.3)
+        np.fill_diagonal(cov, 1.0)
+        return cov
+    if family == "se":
+        x = rng.uniform(0.0, KernelConfig.domain_upper, n)
+        return np.exp(-((x[:, None] - x[None, :]) / 0.5) ** 2) + 1e-8 * np.eye(n)
+    cov = random_correlation_matrix(n, n).entries
+    if family == "rescaled":
+        scale = np.exp(rng.normal(0.0, 1.0, n))
+        cov = cov * np.outer(scale, scale)
+    return cov
+
+
+@pytest.mark.parametrize("family", ["eq", "se", "wishart", "rescaled"])
+@pytest.mark.parametrize("n", [500, 501, 1002])
+def test_factor_beside_eigvalsh_gives_the_same_bits(monkeypatch, family, n):
+    """A dense target's log|C|, S and extreme eigenvalues, and its report,
+    are bit for bit those of spd_cholesky, inverse_diagonal and eigvalsh run
+    one by one on its correlation matrix.  The target factors and inverts C
+    in the memory of the one copy made for it, and starts no thread."""
+    cov, threads = _dense_covariance(family, n), threading.enumerate()
+    shared = []
+    for name in ("dpotrf", "dtrtri"):
+        routine = getattr(linalg.lapack, name)
+
+        def in_place(a, *args, routine=routine, **kwargs):
+            out = routine(a, *args, **kwargs)
+            shared.append(np.shares_memory(out[0], a))
+            return out
+
+        monkeypatch.setattr(linalg.lapack, name, in_place)
+    target = GaussianTarget(np.zeros(n), cov)
+    assert shared == [True, True]
+    assert threading.enumerate() == threads
+    monkeypatch.undo()
+
+    corr = correlation_from_covariance(target).entries
+    lower = linalg.spd_cholesky(corr)
+    eigvals = np.linalg.eigvalsh(corr)
+    spectrum = (
+        linalg.log_det_from_cholesky(lower),
+        linalg.inverse_diagonal(lower),
+        float(eigvals[0]),
+        float(eigvals[-1]),
+    )
+    assert np.array_equal(target._shrinkage.view(np.int64), spectrum[1].view(np.int64))
+    assert target._log_det_c == spectrum[0]
+    assert (target._eigenvalue_min, target._eigenvalue_max) == spectrum[2:]
+    reference = GaussianTarget._from_spectrum(np.zeros(n), target.covariance.copy(), spectrum)
+    assert vars(decompose(target)) == vars(decompose(reference))
+
+
+def test_worker_errors_reach_the_caller_and_leave_no_thread(monkeypatch):
+    """A ConditioningError of the factor reaches the caller with the column,
+    pivot and threshold of spd_cholesky run on C itself, and it comes before
+    any eigvalsh error; an eigvalsh error reaches the caller too.  No thread
+    is left after any of them."""
+    n, threads = 501, threading.enumerate()
+    a = np.random.default_rng(7).standard_normal((n, n - 3))
+    singular = a @ a.T
+    singular = singular + singular.T  # exactly symmetric, rank n - 3
+    with pytest.raises(ConditioningError) as direct:
+        linalg.spd_cholesky(gaussian._correlation_entries(singular))
+    with pytest.raises(ConditioningError) as built:
+        GaussianTarget(np.zeros(n), singular)
+    assert threading.enumerate() == threads
+    assert (built.value.column, built.value.pivot, built.value.threshold, str(built.value)) == (
+        direct.value.column,
+        direct.value.pivot,
+        direct.value.threshold,
+        str(direct.value),
+    )
+
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(ConditioningError):
+        GaussianTarget(np.zeros(n), singular)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        GaussianTarget(np.zeros(n), _dense_covariance("eq", n))
+    assert threading.enumerate() == threads
+
+
+def test_no_thread_below_the_crossover_or_with_threaded_blas(monkeypatch):
+    """At every n, below 501 and past it, and whether the BLAS thread
+    variables ask for one thread or are unset, a target starts no thread."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refused)
+    every = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for threads in ("1", None):
+        for variable in every:
+            if threads is None:
+                monkeypatch.delenv(variable, raising=False)
+            else:
+                monkeypatch.setenv(variable, threads)
+        for n in (500, 501, 1002):
+            GaussianTarget(np.zeros(n), _dense_covariance("wishart", n))
 
 
 def _invariant_fields(target):
