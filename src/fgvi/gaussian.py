@@ -151,9 +151,12 @@ def _check_seed(seed: int) -> int:
 def _real_array(x, what: str, ndim: int, copy: bool = True, finite: bool = True) -> np.ndarray:
     """The one intake rule of array arguments: x as a float64 array with ``ndim`` non-empty
     axes, a new one if ``copy``, and finite if ``finite``; complex input is refused, not cut
-    to its real part, and so are strings and bytes, not parsed as numbers."""
+    to its real part, and so are strings and bytes, also inside an object array, not parsed
+    as numbers."""
     x = np.asarray(x)
-    if x.dtype.kind in "cUS":
+    if x.dtype.kind in "cUS" or (
+        x.dtype.kind == "O" and any(isinstance(e, (str, bytes)) for e in x.flat)
+    ):
         raise ValueError(f"{what} must be real, got dtype {x.dtype}")
     try:
         x = x.astype(float, copy=copy)

@@ -425,8 +425,10 @@ def test_byte_identical_reruns(tmp_path):
 # analyze_eps_json, sweep_eps_csv, bounds_eps_csv) were re-recorded when the
 # equicorrelated target began to take log|C|, S and κ from its closed forms,
 # which moved last digits: κ went from 5.0000000000000027 to 5, and from
-# 145.00000000000711 to 145.00000000000003.  A change that moves output on
-# purpose re-records
+# 145.00000000000711 to 145.00000000000003; both mixture lists were
+# re-recorded when the default learning rate went from 0.01 to 0.015, which
+# stops mixture_csv at step 300, not 400, nearer its mode.  A change that
+# moves output on purpose re-records
 # these and names the lists that moved; any other change must leave every
 # byte in place.
 PINNED_OUTPUTS = {
@@ -479,12 +481,12 @@ PINNED_OUTPUTS = {
     "mixture_csv": (
         "mixture --separation 10 --seed 0",
         0,
-        "26651edb65c536f5d2c3dd23734302c3e971da5c71fc9f570c73fd13bf680fc5",
+        "9ea7ad3db37265f86dc61c0e3645e9ebc90a1509e6706b74e3329eb681db0777",
     ),
     "mixture_one_component_json": (
         "mixture --n 2 --weights 1 --seed 1 --format json-lines",
         0,
-        "114ccfdb7c1a0861468d9f695330145e2e4f0cf95050b186f5f1102cb604ef35",
+        "fab37e5ca9088b2cccbfcd4c4fce40580812ecb0aa6f1bd6e0c1332de555ae5c",
     ),
 }
 

@@ -349,6 +349,26 @@ _REFUSALS = {
         ValueError,
         "mean must be real, got dtype |S3",
     ),
+    "object str covariance": (
+        lambda: GaussianTarget(np.zeros(1), np.array([["1.5"]], dtype=object)),
+        ValueError,
+        "covariance must be real, got dtype object",
+    ),
+    "object bytes mean": (
+        lambda: GaussianTarget(np.array([b"0"], dtype=object), np.eye(1)),
+        ValueError,
+        "mean must be real, got dtype object",
+    ),
+    "object str factorized variances": (
+        lambda: FactorizedGaussian(np.zeros(1), np.array(["2"], dtype=object)),
+        ValueError,
+        "variances must be real, got dtype object",
+    ),
+    "object covariance holding a str that parses as no number": (
+        lambda: GaussianTarget(np.zeros(1), np.array([["a"]], dtype=object)),
+        ValueError,
+        "covariance must be real, got dtype object",
+    ),
 }
 
 
